@@ -2,9 +2,12 @@
 
 Field elements are encoded as integers in [0, p^n): the little-endian
 base-p digits of the encoding are the coefficients of the residue
-polynomial.  A FieldContext carries dense log/antilog, trace, and
-quadratic-character tables whenever the field order fits under the
-table cap; all operations fall back to polynomial arithmetic otherwise.
+polynomial.  A FieldContext carries dense log/antilog, successor, trace,
+and quadratic-character tables whenever the field order fits under the
+table cap; in odd characteristic it also carries the Zech-logarithm table
+Z(k) = log(1 + g^k), through which the vectorised vec_add/vec_sub work
+(characteristic 2 adds by XOR).  Scalar operations fall back to polynomial
+arithmetic without tables; the vectorised ones require them.
 """
 
 from __future__ import annotations
@@ -36,16 +39,32 @@ _VEC_CHUNK = 1 << 16
 # Integer helpers
 # ---------------------------------------------------------------------------
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def is_prime(m: int) -> bool:
+    """Miller-Rabin with the prime bases up to 37: exact for every
+    m < 3.18 * 10^23 (Sorenson and Webster, 2017), a strong probable-prime
+    test beyond."""
     if m < 2:
         return False
-    if m % 2 == 0:
-        return m == 2
-    f = 3
-    while f * f <= m:
-        if m % f == 0:
+    for b in _MR_BASES:
+        if m % b == 0:
+            return m == b
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -191,9 +210,9 @@ def parse_field_spec(text: str) -> FieldSpec:
     """Parse "p^n" or "p^n/c0,c1,...,cn" (modulus coefficients low to high)."""
     body, _, mod_part = text.partition("/")
     try:
-        p_str, _, n_str = body.partition("^")
+        p_str, caret, n_str = body.partition("^")
         p = int(p_str)
-        n = int(n_str) if n_str else 1
+        n = int(n_str) if caret else 1
     except ValueError as exc:
         raise ParseError(f"bad field spec {text!r}") from exc
     modulus = None
@@ -234,8 +253,10 @@ class FieldContext:
         self.chi_table = None
         self.trace_table = None
         self.succ = None
-        self.negt = None
-        self._pow_cache: dict[int, np.ndarray] = {}
+        self.zech = None
+        # One (d, x^d table) slot, rebound in a single assignment so that
+        # concurrent readers see either the old or the new pair, never a mix.
+        self._pow_cache: tuple[int, Optional[np.ndarray]] = (0, None)
         if self.has_tables:
             self._build_tables()
 
@@ -288,8 +309,9 @@ class FieldContext:
         X = np.arange(q, dtype=np.int64)
         d0 = X % p
         self.succ = X - d0 + (d0 + 1) % p
-        self.negt = self.vec_sub(np.int64(0), X)
         if p != 2:
+            # Zech logarithm Z(k) = log(1 + g^k); -1 where 1 + g^k = 0
+            self.zech = log[self.succ[exp]]
             chi = np.zeros(q, dtype=np.int64)
             chi[exp] = 1 - 2 * (idx & 1)
             self.chi_table = chi
@@ -400,34 +422,37 @@ class FieldContext:
     # -- vectorised arithmetic on encoding arrays -------------------------
 
     def vec_add(self, a, b):
-        p = self.p
-        if p == 2:
+        """a + b elementwise, with broadcasting (tables required)."""
+        self.require_tables()
+        if self.p == 2:
             return np.bitwise_xor(a, b)
-        ra = np.asarray(a, dtype=np.int64)
-        rb = np.asarray(b, dtype=np.int64)
-        out = np.zeros(np.broadcast(ra, rb).shape, dtype=np.int64)
-        pk = 1
-        for _ in range(self.n):
-            out += ((ra % p + rb % p) % p) * pk
-            ra = ra // p
-            rb = rb // p
-            pk *= p
-        return out
+        return self._zech_add(a, b, 0)
 
     def vec_sub(self, a, b):
-        p = self.p
-        if p == 2:
+        """a - b elementwise, with broadcasting (tables required)."""
+        self.require_tables()
+        if self.p == 2:
             return np.bitwise_xor(a, b)
-        ra = np.asarray(a, dtype=np.int64)
-        rb = np.asarray(b, dtype=np.int64)
-        out = np.zeros(np.broadcast(ra, rb).shape, dtype=np.int64)
-        pk = 1
-        for _ in range(self.n):
-            out += ((ra % p - rb % p) % p) * pk
-            ra = ra // p
-            rb = rb // p
-            pk *= p
-        return out
+        return self._zech_add(a, b, (self.q - 1) // 2)  # -1 = g^((q-1)/2)
+
+    def _zech_add(self, a, b, b_shift: int) -> np.ndarray:
+        """a + g^b_shift * b in odd characteristic, by Zech logarithms:
+        a + b' = a * (1 + b'/a), so log(a + b') = log a + Z(log b' - log a)."""
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        shape = np.broadcast_shapes(a.shape, b.shape)
+        a, b = np.broadcast_arrays(np.atleast_1d(a), np.atleast_1d(b))
+        order = self.q - 1
+        la = self.log[a]
+        lb = self.log[b] + b_shift
+        z = self.zech[(lb - la) % order]
+        out = self.exp[(la + z) % order]
+        out[z < 0] = 0  # a = -b'
+        a_zero = a == 0
+        out[a_zero] = self.exp[lb[a_zero] % order]  # b' alone
+        b_zero = b == 0
+        out[b_zero] = a[b_zero]
+        return out.reshape(shape)
 
     def vec_mul_poly(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Elementwise field product by polynomial convolution; table-free."""
@@ -480,16 +505,14 @@ class FieldContext:
         self.require_tables()
         if not 1 <= d <= self.q - 1:
             raise ValueError(f"exponent {d} out of range [1, {self.q - 1}]")
-        cached = self._pow_cache.get(d)
-        if cached is not None:
+        cached_d, cached = self._pow_cache
+        if cached_d == d:
             return cached
         order = self.q - 1
         idx = np.arange(order, dtype=np.int64)
         t = np.zeros(self.q, dtype=np.int64)
         t[self.exp] = self.exp[(idx * d) % order]
-        if len(self._pow_cache) >= 4:
-            self._pow_cache.pop(next(iter(self._pow_cache)))
-        self._pow_cache[d] = t
+        self._pow_cache = (d, t)
         return t
 
     def require_tables(self) -> None:
@@ -512,13 +535,16 @@ def build_context(
     table_cap: int = DEFAULT_TABLE_CAP,
 ) -> FieldContext:
     """Validate spec, select/verify the modulus, and build a FieldContext."""
-    if not is_prime(spec.p):
+    if spec.p < 2:
         raise NotPrime(f"p must be prime, got {spec.p}")
     if spec.n < 1:
         raise ParseError(f"degree must be >= 1, got {spec.n}")
-    q = spec.p ** spec.n
-    if q > enum_cap:
+    # The size cap comes before the primality test, and 2^n > enum_cap already
+    # once n reaches its bit length, so a huge p or n is rejected at once.
+    if spec.n >= enum_cap.bit_length() or spec.p ** spec.n > enum_cap:
         raise FieldTooLarge(f"q = {spec.p}^{spec.n} exceeds enumeration cap {enum_cap}")
+    if not is_prime(spec.p):
+        raise NotPrime(f"p must be prime, got {spec.p}")
     if spec.modulus is None:
         modulus = find_irreducible(spec.p, spec.n)
     else:

@@ -19,6 +19,10 @@ from .field import FieldContext
 
 DEFAULT_N4_BUDGET = 625
 
+# Elements per block of alpha rows in n4_bruteforce: 2^13 is as fast as
+# larger blocks and keeps the block temporaries within about 1 MB.
+_N4_BLOCK = 1 << 13
+
 
 def normalize_exponent(d: int, q: int) -> int:
     """Reduce d into [1, q-1]; x^d depends only on d mod (q-1) there."""
@@ -49,8 +53,21 @@ class PowerMapCase:
         ctx = self.ctx
         ctx.require_tables()
         powd = ctx.pow_table(self.d)
-        shifted = powd[ctx.succ]  # (x+1)^d
-        return ctx.vec_sub(shifted, ctx.vec_scale(powd, self.c))
+        if ctx.p == 2 or self.c == 0:
+            shifted = powd[ctx.succ]  # (x+1)^d
+            return ctx.vec_sub(shifted, ctx.vec_scale(powd, self.c))
+        # Log domain: with u = (x+1)^d and v = x^d, u - c*v = u*(1 + (-c)*v/u),
+        # so log Delta = log u + Z(log v + log(-c) - log u).
+        order = ctx.q - 1
+        lv = ctx.log[powd]
+        lu = lv[ctx.succ]
+        log_neg_c = int(ctx.log[self.c]) + order // 2
+        z = ctx.zech[(lv + log_neg_c - lu) % order]
+        out = ctx.exp[(lu + z) % order]
+        out[z < 0] = 0  # u = c*v
+        out[0] = 1  # x = 0: Delta = 1^d
+        out[ctx.neg_one] = ctx.neg(ctx.mul(self.c, int(powd[ctx.neg_one])))  # x = -1: u = 0
+        return out
 
     def delta_histogram(self) -> np.ndarray:
         """Counts of Delta_c preimages per output value b."""
@@ -146,7 +163,7 @@ def n4_bruteforce(case: PowerMapCase, budget: int = DEFAULT_N4_BUDGET) -> int:
 
     Pairs (x1, x2) and (x4, x3) sharing the difference alpha = x1 - x2 are
     enumerated per alpha; matching quadruples are counted through the
-    per-alpha value histograms.
+    per-alpha value histograms, a block of alpha rows at a time.
     """
     ctx = case.ctx
     q = ctx.q
@@ -156,11 +173,14 @@ def n4_bruteforce(case: PowerMapCase, budget: int = DEFAULT_N4_BUDGET) -> int:
     powd = ctx.pow_table(case.d)
     c_powd = ctx.vec_scale(powd, case.c)
     X = np.arange(q, dtype=np.int64)
+    rows = max(1, _N4_BLOCK // q)
     total = 0
-    for alpha in range(q):
-        x2 = ctx.vec_sub(X, np.int64(alpha))
-        vals = ctx.vec_sub(powd, c_powd[x2])  # x^d - c*(x-alpha)^d over all x
-        h = np.bincount(vals, minlength=q)
+    for lo in range(0, q, rows):
+        alphas = X[lo:lo + rows, None]
+        x2 = ctx.vec_sub(X, alphas)
+        vals = ctx.vec_sub(powd, c_powd[x2])  # x^d - c*(x-alpha)^d, one row per alpha
+        vals += np.arange(0, vals.size, q).reshape(-1, 1)  # row r counts into bins [rq, rq+q)
+        h = np.bincount(vals.ravel(), minlength=vals.size)
         total += int(np.dot(h, h))
     return total
 

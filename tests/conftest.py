@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from cdspec import FieldSpec, build_context
@@ -16,3 +18,13 @@ def get_ctx(p, n, modulus=None):
 @pytest.fixture
 def ctx_factory():
     return get_ctx
+
+
+def is_prime_trial(m):
+    return m >= 2 and all(m % f for f in range(2, math.isqrt(m) + 1))
+
+
+def odd_fields(lo, hi):
+    """Every odd-characteristic (p, n) with lo < p^n <= hi."""
+    return [(p, n) for p in range(3, hi + 1) if is_prime_trial(p)
+            for n in range(1, hi.bit_length()) if lo < p ** n <= hi]

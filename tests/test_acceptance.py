@@ -354,7 +354,7 @@ def test_criterion_9c_quadratic_counts():
         sq = ctx.pow_table(2)
         for a in range(ctx.q):
             vals = ctx.vec_add(sq, ctx.vec_scale(X, a))
-            counts = np.bincount(ctx.negt[vals], minlength=ctx.q)
+            counts = np.bincount(ctx.vec_sub(np.int64(0), vals), minlength=ctx.q)
             for b in range(ctx.q):
                 assert quadratic_solution_count(ctx, a, b) == counts[b], (p, n, a, b)
     _report("criterion-9c quadratic root counts vs full enumeration, q <= 343", started)

@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import time
+
+import pytest
 
 from cdspec.cli import EXIT_BUDGET, EXIT_INCONSISTENT, EXIT_OK, EXIT_USAGE, main
 
@@ -50,6 +53,17 @@ def test_spectrum_budget_exit(capsys):
         "--budget-q", "1024",
     )
     assert code == EXIT_BUDGET
+
+
+@pytest.mark.parametrize("field, code", [
+    ("1000000000000000003^1", EXIT_BUDGET),  # p alone exceeds the cap
+    ("3^300000000", EXIT_BUDGET),
+    ("2^", EXIT_USAGE),
+])
+def test_spectrum_rejects_field_at_once(capsys, field, code):
+    started = time.perf_counter()
+    assert run_cli(capsys, "spectrum", "--field", field, "--d", "3", "--c", "-1")[0] == code
+    assert time.perf_counter() - started < 2.0
 
 
 def test_spectrum_named_inverse_d(capsys):

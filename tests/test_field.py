@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -29,9 +31,10 @@ from cdspec import (
     quadratic_solution_count,
     trace_abs,
 )
+from cdspec.field import is_prime
 from cdspec.verifier import SplitMix64
 
-from conftest import get_ctx
+from conftest import get_ctx, is_prime_trial, odd_fields
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +66,12 @@ def test_not_prime_rejected():
         build_context(FieldSpec(1, 1))
 
 
+def test_is_prime_matches_trial_division():
+    assert [m for m in range(100_000) if is_prime(m)] == \
+        [m for m in range(100_000) if is_prime_trial(m)]
+    assert is_prime(2 ** 61 - 1) and not is_prime(3215031751)  # a strong pseudoprime to 2, 3, 5, 7
+
+
 def test_reducible_modulus_rejected():
     with pytest.raises(ReducibleModulus):
         build_context(FieldSpec(2, 2, (1, 0, 1)))  # x^2+1 = (x+1)^2 over GF(2)
@@ -89,6 +98,8 @@ def test_parse_field_spec():
     assert parse_field_spec("7") == FieldSpec(7, 1)
     with pytest.raises(ParseError):
         parse_field_spec("5^x")
+    with pytest.raises(ParseError):
+        parse_field_spec("2^")
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +160,60 @@ def test_log_antilog_roundtrip():
     for p, n in [(2, 6), (3, 4), (5, 3)]:
         ctx = get_ctx(p, n)
         assert np.array_equal(ctx.exp[ctx.log[1:]], np.arange(1, ctx.q))
+
+
+def test_zech_vec_add_sub_match_scalar_on_every_pair():
+    for p, n in odd_fields(0, 243):
+        ctx = get_ctx(p, n)
+        q = ctx.q
+        X = np.arange(q, dtype=np.int64)
+        add = ctx.vec_add(X[:, None], X[None, :])  # 2-D operands, by broadcasting
+        sub = ctx.vec_sub(X[:, None], X[None, :])
+        assert add.tolist() == [[ctx.add(a, b) for b in range(q)] for a in range(q)], (p, n)
+        assert sub.tolist() == [[ctx.sub(a, b) for b in range(q)] for a in range(q)], (p, n)
+        for k in (0, 1, ctx.neg_one, q - 1):  # scalar-broadcast operands
+            assert np.array_equal(ctx.vec_add(np.int64(k), X), add[k])
+            assert np.array_equal(ctx.vec_sub(np.int64(k), X), sub[k])
+            assert np.array_equal(ctx.vec_sub(X, np.int64(k)), sub[:, k])
+            assert ctx.vec_sub(np.int64(k), np.int64(1)).shape == ()
+            assert int(ctx.vec_sub(np.int64(k), np.int64(1))) == sub[k, 1]
+
+
+def test_pow_table_threads_and_single_slot():
+    ctx = build_context(FieldSpec(3, 5))
+    order = ctx.q - 1
+    g = ctx.generator
+    g_pow = [ctx.pow(g, d) for d in range(ctx.q)]
+    errors = []
+
+    def worker(stride):
+        try:
+            for i in range(3000):
+                d = 1 + (stride * i) % order  # a new exponent on every call
+                if ctx.pow_table(d)[g] != g_pow[d]:
+                    errors.append(d)
+        except Exception as exc:  # reported through errors, asserted below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    try:
+        # Switch intervals short enough to interleave threads inside one
+        # cache update; which one exposes a race varies from run to run.
+        for interval in (5e-6, 1e-5, 2e-5):
+            sys.setswitchinterval(interval)
+            threads = [threading.Thread(target=worker, args=(s,))
+                       for s in (1, 5, 7, 13, 17, 19)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(old)
+    assert errors == []
+    for d in (1, 2, 121, order):
+        assert np.array_equal(ctx.pow_table(d), [ctx.pow(x, d) for x in range(ctx.q)])
+    assert ctx.pow_table(7) is ctx.pow_table(7)
 
 
 def test_inverse_of_zero():
@@ -259,7 +324,7 @@ def _root_counts_by_enumeration(ctx, a):
     """For x^2 + a*x + b: counts per b, derived from b = -(x^2 + a*x)."""
     X = np.arange(ctx.q, dtype=np.int64)
     vals = ctx.vec_add(ctx.pow_table(2), ctx.vec_scale(X, a))
-    return np.bincount(ctx.negt[vals], minlength=ctx.q)
+    return np.bincount(ctx.vec_sub(np.int64(0), vals), minlength=ctx.q)
 
 
 def test_quadratic_solution_count_examples():

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,10 +15,11 @@ from cdspec import (
     n4_bruteforce,
     normalize_exponent,
 )
+from cdspec import spectrum
 from cdspec.spectrum import CDiffSpectrum
 from cdspec.verifier import SplitMix64
 
-from conftest import get_ctx
+from conftest import get_ctx, odd_fields
 
 
 def _delta_count_scalar(ctx, d, c, b):
@@ -43,6 +45,26 @@ def _n4_triple_loop(ctx, d, c):
                 if ctx.add(head, ctx.sub(ctx.mul(c, powd[x3]), powd[x4])) == 0:
                     total += 1
     return total
+
+
+def _n4_per_alpha(ctx, d, c):
+    """Per-alpha scalar count: sum over alpha of the squared value counts of
+    x^d - c*(x - alpha)^d."""
+    powd = [ctx.pow(x, d) for x in range(ctx.q)]
+    total = 0
+    for alpha in range(ctx.q):
+        h = Counter(ctx.sub(powd[x], ctx.mul(c, powd[ctx.sub(x, alpha)])) for x in range(ctx.q))
+        total += sum(k * k for k in h.values())
+    return total
+
+
+def _assert_delta_matches_scalar(ctx, d, cs):
+    q = ctx.q
+    u = [ctx.pow(ctx.add(x, 1), d) for x in range(q)]
+    v = [ctx.pow(x, d) for x in range(q)]
+    for c in cs:
+        expected = [ctx.sub(u[x], ctx.mul(c, v[x])) for x in range(q)]
+        assert PowerMapCase(ctx, d, c).delta_values().tolist() == expected, (ctx, d, c)
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +223,37 @@ def test_n4_matches_triple_loop():
             c = rng.below(ctx.q)
             case = PowerMapCase(ctx, d, c)
             assert n4_bruteforce(case) == _n4_triple_loop(ctx, case.d, c), (p, n, d, c)
+
+
+def test_log_domain_delta_values_every_c_and_x():
+    # every odd q <= 243, with one exponent per field rotating through the
+    # inverse and exponents with gcd(d, q-1) > 1
+    for i, (p, n) in enumerate(odd_fields(0, 243)):
+        q = p ** n
+        d = (q - 2, 2, 4, (q - 1) // 2, q - 1)[i % 5]
+        _assert_delta_matches_scalar(get_ctx(p, n), d, range(q))
+
+
+def test_log_domain_delta_values_sampled_c():
+    rng = SplitMix64(41)
+    for p, n in odd_fields(243, 729):
+        ctx = get_ctx(p, n)
+        q = ctx.q
+        for d in (q - 2, 3, (q - 1) // 2):
+            _assert_delta_matches_scalar(ctx, d, [1, ctx.neg_one, 2 + rng.below(q - 2)])
+
+
+@pytest.mark.parametrize("block", [spectrum._N4_BLOCK, 64])
+def test_n4_blocks_match_per_alpha_count(monkeypatch, block):
+    monkeypatch.setattr(spectrum, "_N4_BLOCK", block)  # 64: several blocks, a partial last one
+    rng = SplitMix64(43)
+    for p, n in [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3),
+                 (5, 1), (5, 2), (7, 1), (7, 2)]:
+        ctx = get_ctx(p, n)
+        for d in {1, 3, max(ctx.q - 2, 1), 1 + rng.below(ctx.q - 1)}:
+            for c in {0, 1, ctx.neg_one, rng.below(ctx.q)}:
+                case = PowerMapCase(ctx, d, c)
+                assert n4_bruteforce(case) == _n4_per_alpha(ctx, case.d, c), (p, n, d, c)
 
 
 def test_n4_budget():
