@@ -18,20 +18,12 @@ from .field import (
     FieldSpec,
     build_context,
     char_sum_quadratic,
-    ff_add,
-    ff_inv,
-    ff_mul,
-    ff_pow,
-    ff_sub,
     find_irreducible,
-    format_field_spec,
     gamma_5n_direct,
     gcd_pk1,
     parse_field_spec,
     partition_by_chi,
-    quad_char,
     quadratic_solution_count,
-    trace_abs,
 )
 from .spectrum import (
     CDiffSpectrum,

@@ -236,11 +236,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    spec = parse_field_spec(args.field)
-    ctx = build_context(spec, enum_cap=args.budget_q)
+    ctx = _build_ctx(args)
     d = parse_d(ctx, args.d, args.k)
     result = verifier.sweep_c(
-        spec.p, spec.n, d, n4_budget=args.budget_n4, ctx=ctx,
+        ctx.p, ctx.n, d, n4_budget=args.budget_n4, ctx=ctx,
     )
     if args.format == "json":
         _emit(args, to_json(result.as_dict()))
@@ -265,11 +264,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    spec = parse_field_spec(args.field)
-    ctx = build_context(spec, enum_cap=args.budget_q)
+    ctx = _build_ctx(args)
     c = parse_c(ctx, args.c)
     result = verifier.scan_exponents(
-        spec.p, spec.n, c, args.max_uniformity, ctx=ctx,
+        ctx.p, ctx.n, c, args.max_uniformity, ctx=ctx,
     )
     if args.format == "json":
         _emit(args, to_json(result.as_dict()))

@@ -2,12 +2,11 @@
 
 Field elements are encoded as integers in [0, p^n): the little-endian
 base-p digits of the encoding are the coefficients of the residue
-polynomial.  A FieldContext carries dense log/antilog, successor, trace,
-and quadratic-character tables whenever the field order fits under the
-table cap; in odd characteristic it also carries the Zech-logarithm table
-Z(k) = log(1 + g^k), through which the vectorised vec_add/vec_sub work
-(characteristic 2 adds by XOR).  Scalar operations fall back to polynomial
-arithmetic without tables; the vectorised ones require them.
+polynomial.  A FieldContext carries dense, read-only log/antilog,
+successor and trace tables; in odd characteristic it also carries the
+quadratic-character table and the Zech-logarithm table Z(k) = log(1 + g^k),
+through which the vectorised vec_add/vec_sub work (characteristic 2 adds by
+XOR).  Every field order up to DEFAULT_ENUM_CAP gets its tables.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from .errors import (
 )
 
 DEFAULT_ENUM_CAP = 1 << 22
-DEFAULT_TABLE_CAP = 1 << 22
 
 _VEC_CHUNK = 1 << 16
 
@@ -96,6 +94,12 @@ def decode_digits(value: int, p: int, n: int) -> list[int]:
         value, d = divmod(value, p)
         out.append(d)
     return out
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """arr made read-only: contexts and their cached tables are shared."""
+    arr.setflags(write=False)
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +172,8 @@ def is_irreducible(coeffs: Sequence[int], p: int) -> bool:
     if powers[n] != x:
         return False
     for r in prime_factors(n):
-        g = list(powers[n // r])
         # gcd(x^(p^(n/r)) - x, f) must be 1
-        g = list(g)
+        g = list(powers[n // r])
         while len(g) < 2:
             g.append(0)
         g[1] = (g[1] - 1) % p
@@ -224,10 +227,6 @@ def parse_field_spec(text: str) -> FieldSpec:
     return FieldSpec(p=p, n=n, modulus=modulus)
 
 
-def format_field_spec(ctx: "FieldContext") -> str:
-    return f"{ctx.p}^{ctx.n}/" + ",".join(str(c) for c in ctx.modulus)
-
-
 # ---------------------------------------------------------------------------
 # Field context
 # ---------------------------------------------------------------------------
@@ -235,7 +234,7 @@ def format_field_spec(ctx: "FieldContext") -> str:
 class FieldContext:
     """Immutable handle on a concrete GF(p^n).  Construct via build_context."""
 
-    def __init__(self, spec: FieldSpec, modulus: tuple[int, ...], table_cap: int):
+    def __init__(self, spec: FieldSpec, modulus: tuple[int, ...]):
         self.spec = FieldSpec(spec.p, spec.n, modulus)
         self.p = spec.p
         self.n = spec.n
@@ -247,18 +246,10 @@ class FieldContext:
         self._red_rows = self._reduction_rows()
         self._q1_factors = prime_factors(self.q - 1) if self.q > 2 else []
         self.generator = self._find_generator()
-        self.has_tables = self.q <= table_cap
-        self.exp = None
-        self.log = None
-        self.chi_table = None
-        self.trace_table = None
-        self.succ = None
-        self.zech = None
         # One (d, x^d table) slot, rebound in a single assignment so that
         # concurrent readers see either the old or the new pair, never a mix.
         self._pow_cache: tuple[int, Optional[np.ndarray]] = (0, None)
-        if self.has_tables:
-            self._build_tables()
+        self._build_tables()
 
     # -- construction internals ------------------------------------------
 
@@ -304,17 +295,17 @@ class FieldContext:
             raise ReducibleModulus(
                 f"element {self.generator} does not generate GF({p}^{n})^*"
             )
-        self.exp = exp
-        self.log = log
+        self.exp = _frozen(exp)
+        self.log = _frozen(log)
         X = np.arange(q, dtype=np.int64)
         d0 = X % p
-        self.succ = X - d0 + (d0 + 1) % p
+        self.succ = _frozen(X - d0 + (d0 + 1) % p)
         if p != 2:
             # Zech logarithm Z(k) = log(1 + g^k); -1 where 1 + g^k = 0
-            self.zech = log[self.succ[exp]]
+            self.zech = _frozen(log[self.succ[exp]])
             chi = np.zeros(q, dtype=np.int64)
             chi[exp] = 1 - 2 * (idx & 1)
-            self.chi_table = chi
+            self.chi_table = _frozen(chi)
         # absolute trace: sum of Frobenius iterates
         frob = np.empty(q, dtype=np.int64)
         frob[0] = 0
@@ -324,7 +315,7 @@ class FieldContext:
         for _ in range(n - 1):
             cur_arr = frob[cur_arr]
             acc = self.vec_add(acc, cur_arr)
-        self.trace_table = acc
+        self.trace_table = _frozen(acc)
 
     # -- scalar arithmetic ------------------------------------------------
 
@@ -358,9 +349,7 @@ class FieldContext:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        if self.log is not None:
-            return int(self.exp[(self.log[a] + self.log[b]) % (self.q - 1)])
-        return self._mul_scalar(a, b)
+        return int(self.exp[(self.log[a] + self.log[b]) % (self.q - 1)])
 
     def _mul_scalar(self, a: int, b: int) -> int:
         p, n = self.p, self.n
@@ -370,9 +359,7 @@ class FieldContext:
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero("inverse of 0")
-        if self.log is not None:
-            return int(self.exp[(self.q - 1 - self.log[a]) % (self.q - 1)])
-        return self._pow_scalar(a, self.q - 2)
+        return int(self.exp[(self.q - 1 - self.log[a]) % (self.q - 1)])
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:
@@ -382,9 +369,7 @@ class FieldContext:
                 raise DivisionByZero("inverse of 0")
             return 0
         e %= self.q - 1
-        if self.log is not None:
-            return int(self.exp[(self.log[a] * e) % (self.q - 1)])
-        return self._pow_scalar(a, e)
+        return int(self.exp[(self.log[a] * e) % (self.q - 1)])
 
     def _pow_scalar(self, a: int, e: int) -> int:
         result = 1
@@ -397,40 +382,25 @@ class FieldContext:
         return result
 
     def trace(self, x: int) -> int:
-        if self.trace_table is not None:
-            return int(self.trace_table[x])
-        acc, cur = x, x
-        for _ in range(self.n - 1):
-            cur = self.pow(cur, self.p)
-            acc = self.add(acc, cur)
-        return acc
+        """Absolute trace x + x^p + ... + x^(p^(n-1)), a prime-field value."""
+        return int(self.trace_table[x])
 
     def chi(self, x: int) -> int:
+        """Quadratic character: +1 for nonzero squares, -1 for nonsquares, 0 at 0."""
         if self.p == 2:
             raise CharTwoUnsupported("quadratic character needs odd characteristic")
-        if self.chi_table is not None:
-            return int(self.chi_table[x])
-        if x == 0:
-            return 0
-        t = self.pow(x, (self.q - 1) // 2)
-        return 1 if t == 1 else -1
-
-    def element_from_int(self, k: int) -> int:
-        """Prime-subfield constant k mod p."""
-        return k % self.p
+        return int(self.chi_table[x])
 
     # -- vectorised arithmetic on encoding arrays -------------------------
 
     def vec_add(self, a, b):
-        """a + b elementwise, with broadcasting (tables required)."""
-        self.require_tables()
+        """a + b elementwise, with broadcasting."""
         if self.p == 2:
             return np.bitwise_xor(a, b)
         return self._zech_add(a, b, 0)
 
     def vec_sub(self, a, b):
-        """a - b elementwise, with broadcasting (tables required)."""
-        self.require_tables()
+        """a - b elementwise, with broadcasting."""
         if self.p == 2:
             return np.bitwise_xor(a, b)
         return self._zech_add(a, b, (self.q - 1) // 2)  # -1 = g^((q-1)/2)
@@ -456,7 +426,6 @@ class FieldContext:
 
     def vec_mul_poly(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Elementwise field product by polynomial convolution; table-free."""
-        p, n = self.p, self.n
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         out = np.empty(a.shape, dtype=np.int64)
@@ -489,8 +458,7 @@ class FieldContext:
         return out
 
     def vec_scale(self, arr: np.ndarray, c: int) -> np.ndarray:
-        """c * arr elementwise (tables required)."""
-        self.require_tables()
+        """c * arr elementwise."""
         if c == 0:
             return np.zeros_like(arr)
         if c == 1:
@@ -501,8 +469,7 @@ class FieldContext:
         return out
 
     def pow_table(self, d: int) -> np.ndarray:
-        """x^d for every x; d must be in [1, q-1]."""
-        self.require_tables()
+        """x^d for every x, read-only; d must be in [1, q-1]."""
         if not 1 <= d <= self.q - 1:
             raise ValueError(f"exponent {d} out of range [1, {self.q - 1}]")
         cached_d, cached = self._pow_cache
@@ -512,14 +479,8 @@ class FieldContext:
         idx = np.arange(order, dtype=np.int64)
         t = np.zeros(self.q, dtype=np.int64)
         t[self.exp] = self.exp[(idx * d) % order]
-        self._pow_cache = (d, t)
+        self._pow_cache = (d, _frozen(t))
         return t
-
-    def require_tables(self) -> None:
-        if not self.has_tables:
-            raise FieldTooLarge(
-                f"GF({self.p}^{self.n}) exceeds the table cap; enumeration unavailable"
-            )
 
     def elements(self) -> range:
         return range(self.q)
@@ -532,17 +493,21 @@ def build_context(
     spec: FieldSpec,
     *,
     enum_cap: int = DEFAULT_ENUM_CAP,
-    table_cap: int = DEFAULT_TABLE_CAP,
 ) -> FieldContext:
-    """Validate spec, select/verify the modulus, and build a FieldContext."""
+    """Validate spec, select/verify the modulus, and build a FieldContext.
+
+    The field order may not exceed enum_cap, nor DEFAULT_ENUM_CAP whatever
+    enum_cap is: every context holds q-sized tables."""
     if spec.p < 2:
         raise NotPrime(f"p must be prime, got {spec.p}")
     if spec.n < 1:
         raise ParseError(f"degree must be >= 1, got {spec.n}")
-    # The size cap comes before the primality test, and 2^n > enum_cap already
-    # once n reaches its bit length, so a huge p or n is rejected at once.
-    if spec.n >= enum_cap.bit_length() or spec.p ** spec.n > enum_cap:
-        raise FieldTooLarge(f"q = {spec.p}^{spec.n} exceeds enumeration cap {enum_cap}")
+    # The size cap comes before the primality test and before q - 1 is
+    # factored, and 2^n > cap already once n reaches its bit length, so a
+    # huge p or n is rejected at once.
+    cap = min(enum_cap, DEFAULT_ENUM_CAP)
+    if spec.n >= cap.bit_length() or spec.p ** spec.n > cap:
+        raise FieldTooLarge(f"q = {spec.p}^{spec.n} exceeds enumeration cap {cap}")
     if not is_prime(spec.p):
         raise NotPrime(f"p must be prime, got {spec.p}")
     if spec.modulus is None:
@@ -555,42 +520,12 @@ def build_context(
             )
         if not is_irreducible(modulus, spec.p):
             raise ReducibleModulus(f"modulus {spec.modulus} is reducible over GF({spec.p})")
-    return FieldContext(spec, modulus, table_cap)
+    return FieldContext(spec, modulus)
 
 
 # ---------------------------------------------------------------------------
 # Spec-level operations
 # ---------------------------------------------------------------------------
-
-def ff_add(ctx: FieldContext, a: int, b: int) -> int:
-    return ctx.add(a, b)
-
-
-def ff_sub(ctx: FieldContext, a: int, b: int) -> int:
-    return ctx.sub(a, b)
-
-
-def ff_mul(ctx: FieldContext, a: int, b: int) -> int:
-    return ctx.mul(a, b)
-
-
-def ff_inv(ctx: FieldContext, a: int) -> int:
-    return ctx.inv(a)
-
-
-def ff_pow(ctx: FieldContext, a: int, e: int) -> int:
-    return ctx.pow(a, e)
-
-
-def trace_abs(ctx: FieldContext, x: int) -> int:
-    """Absolute trace x + x^p + ... + x^(p^(n-1)), a prime-field value."""
-    return ctx.trace(x)
-
-
-def quad_char(ctx: FieldContext, x: int) -> int:
-    """Quadratic character: +1 for nonzero squares, -1 for nonsquares, 0 at 0."""
-    return ctx.chi(x)
-
 
 def gcd_pk1(p: int, k: int, n: int) -> int:
     """gcd(p^k + 1, p^n - 1) via the three-branch closed form."""
@@ -635,7 +570,6 @@ def gamma_5n_direct(ctx: FieldContext) -> int:
     """Sum of chi(x*(x-1)*(x+1)) over GF(5^n), by direct enumeration."""
     if ctx.p != 5:
         raise WrongCharacteristic(f"requires characteristic 5, got {ctx.p}")
-    ctx.require_tables()
     X = np.arange(ctx.q, dtype=np.int64)
     cubes = ctx.pow_table(3)
     vals = ctx.vec_sub(cubes, X)  # x^3 - x = x(x-1)(x+1)
@@ -647,7 +581,6 @@ def partition_by_chi(ctx: FieldContext) -> tuple[int, int, int, int]:
     ordered (+,+), (+,-), (-,+), (-,-)."""
     if ctx.p == 2:
         raise CharTwoUnsupported("partition needs odd characteristic")
-    ctx.require_tables()
     X = np.arange(ctx.q, dtype=np.int64)
     cx = ctx.chi_table[X]
     cy = ctx.chi_table[ctx.succ]

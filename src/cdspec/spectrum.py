@@ -51,7 +51,6 @@ class PowerMapCase:
     def delta_values(self) -> np.ndarray:
         """Delta_c(x) for every x, as an encoding array."""
         ctx = self.ctx
-        ctx.require_tables()
         powd = ctx.pow_table(self.d)
         if ctx.p == 2 or self.c == 0:
             shifted = powd[ctx.succ]  # (x+1)^d
@@ -169,7 +168,6 @@ def n4_bruteforce(case: PowerMapCase, budget: int = DEFAULT_N4_BUDGET) -> int:
     q = ctx.q
     if q > budget:
         raise BudgetExceeded(f"N4 enumeration over q={q} exceeds budget {budget}")
-    ctx.require_tables()
     powd = ctx.pow_table(case.d)
     c_powd = ctx.vec_scale(powd, case.c)
     X = np.arange(q, dtype=np.int64)

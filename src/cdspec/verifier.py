@@ -10,7 +10,6 @@ from .closed_forms import SpectrumPrediction, dispatch
 from .errors import BudgetExceeded
 from .field import (
     DEFAULT_ENUM_CAP,
-    DEFAULT_TABLE_CAP,
     FieldContext,
     FieldSpec,
     build_context,
@@ -135,9 +134,8 @@ def verify_case(
     modulus: Optional[tuple[int, ...]] = None,
     n4_budget: int = DEFAULT_N4_BUDGET,
     enum_cap: int = DEFAULT_ENUM_CAP,
-    table_cap: int = DEFAULT_TABLE_CAP,
 ) -> VerifyReport:
-    ctx = build_context(FieldSpec(p, n, modulus), enum_cap=enum_cap, table_cap=table_cap)
+    ctx = build_context(FieldSpec(p, n, modulus), enum_cap=enum_cap)
     return verify_with_context(ctx, d, c, n4_budget=n4_budget)
 
 
@@ -166,7 +164,6 @@ def sweep_c(
     modulus: Optional[tuple[int, ...]] = None,
     n4_budget: int = 0,
     enum_cap: int = DEFAULT_ENUM_CAP,
-    table_cap: int = DEFAULT_TABLE_CAP,
     ctx: Optional[FieldContext] = None,
 ) -> SweepResult:
     """One verify report per c in GF(q) except c = 1.
@@ -175,7 +172,7 @@ def sweep_c(
     by q); pass n4_budget to enable it.
     """
     if ctx is None:
-        ctx = build_context(FieldSpec(p, n, modulus), enum_cap=enum_cap, table_cap=table_cap)
+        ctx = build_context(FieldSpec(p, n, modulus), enum_cap=enum_cap)
     reports = []
     for c in range(ctx.q):
         if c == 1:
@@ -261,13 +258,12 @@ def scan_exponents(
     *,
     modulus: Optional[tuple[int, ...]] = None,
     enum_cap: int = DEFAULT_ENUM_CAP,
-    table_cap: int = DEFAULT_TABLE_CAP,
     ctx: Optional[FieldContext] = None,
 ) -> ScanResult:
     """All cyclotomic-class representatives d whose uniformity stays under
     the threshold, with their spectra."""
     if ctx is None:
-        ctx = build_context(FieldSpec(p, n, modulus), enum_cap=enum_cap, table_cap=table_cap)
+        ctx = build_context(FieldSpec(p, n, modulus), enum_cap=enum_cap)
     rows = []
     for d in cyclotomic_representatives(p, ctx.q):
         spec = c_spectrum(PowerMapCase(ctx, d, c))

@@ -1,7 +1,5 @@
 import math
 
-import pytest
-
 from cdspec import FieldSpec, build_context
 
 _CTX_CACHE = {}
@@ -13,11 +11,6 @@ def get_ctx(p, n, modulus=None):
     if key not in _CTX_CACHE:
         _CTX_CACHE[key] = build_context(FieldSpec(p, n, modulus))
     return _CTX_CACHE[key]
-
-
-@pytest.fixture
-def ctx_factory():
-    return get_ctx
 
 
 def is_prime_trial(m):

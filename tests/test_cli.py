@@ -55,14 +55,22 @@ def test_spectrum_budget_exit(capsys):
     assert code == EXIT_BUDGET
 
 
-@pytest.mark.parametrize("field, code", [
-    ("1000000000000000003^1", EXIT_BUDGET),  # p alone exceeds the cap
-    ("3^300000000", EXIT_BUDGET),
-    ("2^", EXIT_USAGE),
-])
-def test_spectrum_rejects_field_at_once(capsys, field, code):
+_REJECTED_FIELDS = [
+    ("1000000000000000003^1", (), EXIT_BUDGET),  # p alone exceeds the cap
+    ("3^300000000", (), EXIT_BUDGET),
+    ("2^", (), EXIT_USAGE),
+    # --budget-q cannot lift the 2^22 ceiling; q - 1 = 2 * prime here, so
+    # factoring it by trial division would take far longer than the bound
+    ("1000000000000007243^1", ("--budget-q", "10000000000000000000"), EXIT_BUDGET),
+]
+
+
+@pytest.mark.parametrize("field, extra, code", _REJECTED_FIELDS,
+                         ids=[f"{field}-{code}" for field, _, code in _REJECTED_FIELDS])
+def test_spectrum_rejects_field_at_once(capsys, field, extra, code):
     started = time.perf_counter()
-    assert run_cli(capsys, "spectrum", "--field", field, "--d", "3", "--c", "-1")[0] == code
+    argv = ("spectrum", "--field", field, "--d", "3", "--c", "-1", *extra)
+    assert run_cli(capsys, *argv)[0] == code
     assert time.perf_counter() - started < 2.0
 
 

@@ -17,19 +17,12 @@ from cdspec import (
     WrongCharacteristic,
     build_context,
     char_sum_quadratic,
-    ff_add,
-    ff_inv,
-    ff_mul,
-    ff_pow,
-    ff_sub,
     find_irreducible,
     gamma_5n_direct,
     gcd_pk1,
     parse_field_spec,
     partition_by_chi,
-    quad_char,
     quadratic_solution_count,
-    trace_abs,
 )
 from cdspec.field import is_prime
 from cdspec.verifier import SplitMix64
@@ -50,7 +43,7 @@ def test_gf8_default_modulus_and_generator_cycle():
     ctx = get_ctx(2, 3)
     assert ctx.modulus == (1, 1, 0, 1)  # x^3 + x + 1
     # powers of x mod x^3+x+1, worked out by hand
-    assert [ff_pow(ctx, 2, i) for i in range(1, 8)] == [2, 4, 3, 6, 7, 5, 1]
+    assert [ctx.pow(2, i) for i in range(1, 8)] == [2, 4, 3, 6, 7, 5, 1]
 
 
 def test_default_moduli_are_the_classic_choices():
@@ -84,6 +77,8 @@ def test_field_too_large():
         build_context(FieldSpec(2, 23))
     with pytest.raises(FieldTooLarge):
         build_context(FieldSpec(2, 5), enum_cap=16)
+    with pytest.raises(FieldTooLarge):  # enum_cap cannot lift the table ceiling
+        build_context(FieldSpec(2, 23), enum_cap=1 << 30)
 
 
 def test_find_irreducible_indexing():
@@ -107,15 +102,15 @@ def test_parse_field_spec():
 # ---------------------------------------------------------------------------
 
 def test_mul_examples():
-    assert ff_mul(get_ctx(5, 1), 3, 4) == 2
-    assert ff_mul(get_ctx(2, 3), 2, 4) == 3  # x * x^2 = x + 1
+    assert get_ctx(5, 1).mul(3, 4) == 2
+    assert get_ctx(2, 3).mul(2, 4) == 3  # x * x^2 = x + 1
 
 
 def test_fermat_for_all_nonzero():
     for p, n in [(2, 3), (3, 2), (5, 1), (7, 1)]:
         ctx = get_ctx(p, n)
         for a in range(1, ctx.q):
-            assert ff_pow(ctx, a, ctx.q - 1) == 1
+            assert ctx.pow(a, ctx.q - 1) == 1
 
 
 def test_field_axioms_random_triples():
@@ -124,15 +119,13 @@ def test_field_axioms_random_triples():
         ctx = get_ctx(p, n)
         for _ in range(200):
             a, b, c = (rng.below(ctx.q) for _ in range(3))
-            assert ff_add(ctx, a, b) == ff_add(ctx, b, a)
-            assert ff_mul(ctx, a, b) == ff_mul(ctx, b, a)
-            assert ff_mul(ctx, a, ff_mul(ctx, b, c)) == ff_mul(ctx, ff_mul(ctx, a, b), c)
-            assert ff_mul(ctx, a, ff_add(ctx, b, c)) == ff_add(
-                ctx, ff_mul(ctx, a, b), ff_mul(ctx, a, c)
-            )
-            assert ff_sub(ctx, ff_add(ctx, a, b), b) == a
+            assert ctx.add(a, b) == ctx.add(b, a)
+            assert ctx.mul(a, b) == ctx.mul(b, a)
+            assert ctx.mul(a, ctx.mul(b, c)) == ctx.mul(ctx.mul(a, b), c)
+            assert ctx.mul(a, ctx.add(b, c)) == ctx.add(ctx.mul(a, b), ctx.mul(a, c))
+            assert ctx.sub(ctx.add(a, b), b) == a
             if a:
-                assert ff_mul(ctx, a, ff_inv(ctx, a)) == 1
+                assert ctx.mul(a, ctx.inv(a)) == 1
 
 
 def test_pow_matches_square_and_multiply():
@@ -149,11 +142,11 @@ def test_pow_matches_square_and_multiply():
                 k = e % (ctx.q - 1)
                 while k:
                     if k & 1:
-                        acc = ff_mul(ctx, acc, base)
-                    base = ff_mul(ctx, base, base)
+                        acc = ctx.mul(acc, base)
+                    base = ctx.mul(base, base)
                     k >>= 1
                 expected = acc
-            assert ff_pow(ctx, a, e) == expected
+            assert ctx.pow(a, e) == expected
 
 
 def test_log_antilog_roundtrip():
@@ -218,22 +211,40 @@ def test_pow_table_threads_and_single_slot():
 
 def test_inverse_of_zero():
     with pytest.raises(DivisionByZero):
-        ff_inv(get_ctx(5, 1), 0)
+        get_ctx(5, 1).inv(0)
 
 
-def test_tables_absent_fallback_matches_tables():
-    spec = FieldSpec(3, 3)
-    with_tables = build_context(spec)
-    bare = build_context(spec, table_cap=1)
-    assert not bare.has_tables
-    rng = SplitMix64(7)
-    for _ in range(60):
-        a, b = rng.below(27), rng.below(27)
-        assert with_tables.mul(a, b) == bare.mul(a, b)
-        if a:
-            assert with_tables.inv(a) == bare.inv(a)
-        assert with_tables.trace(a) == bare.trace(a)
-        assert with_tables.chi(a) == bare.chi(a)
+def test_tables_match_polynomial_arithmetic():
+    """Every table-backed scalar operation against polynomial arithmetic."""
+    for p, n in [(3, 3), (2, 5), (5, 2)]:
+        ctx = get_ctx(p, n)
+        q = ctx.q
+        for a in range(q):
+            for b in range(q):
+                assert ctx.mul(a, b) == ctx._mul_scalar(a, b)
+            if a:
+                assert ctx.inv(a) == ctx._pow_scalar(a, q - 2)
+            for e in (0, 1, 2, p, q - 2, q - 1, q, 2 * q + 3):
+                assert ctx.pow(a, e) == ctx._pow_scalar(a, e)
+            frobenius_sum = a
+            for i in range(1, n):
+                frobenius_sum = ctx.add(frobenius_sum, ctx._pow_scalar(a, p ** i))
+            assert ctx.trace(a) == frobenius_sum
+            if p != 2:
+                euler = ctx._pow_scalar(a, (q - 1) // 2)
+                assert ctx.chi(a) == (0 if a == 0 else 1 if euler == 1 else -1)
+
+
+def test_tables_are_read_only():
+    ctx = build_context(FieldSpec(3, 3))
+    for name in ("exp", "log", "succ", "zech", "chi_table", "trace_table"):
+        with pytest.raises(ValueError):
+            getattr(ctx, name)[1] = 0
+    cubes = ctx.pow_table(3)
+    with pytest.raises(ValueError):
+        cubes[1] = 0
+    assert ctx.pow_table(3) is cubes
+    assert int(cubes[2]) == ctx.pow(2, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -242,12 +253,12 @@ def test_tables_absent_fallback_matches_tables():
 
 def test_trace_gf4():
     ctx = get_ctx(2, 2)
-    assert [trace_abs(ctx, x) for x in range(4)] == [0, 0, 1, 1]
+    assert [ctx.trace(x) for x in range(4)] == [0, 0, 1, 1]
 
 
 def test_trace_kernel_size():
     ctx = get_ctx(3, 2)
-    assert sum(1 for x in range(9) if trace_abs(ctx, x) == 0) == 3
+    assert sum(1 for x in range(9) if ctx.trace(x) == 0) == 3
 
 
 def test_trace_additive_and_frobenius_invariant():
@@ -256,11 +267,9 @@ def test_trace_additive_and_frobenius_invariant():
         ctx = get_ctx(p, n)
         for _ in range(100):
             x, y = rng.below(ctx.q), rng.below(ctx.q)
-            assert trace_abs(ctx, ff_add(ctx, x, y)) == (
-                trace_abs(ctx, x) + trace_abs(ctx, y)
-            ) % p
-            assert trace_abs(ctx, ff_pow(ctx, x, p)) == trace_abs(ctx, x)
-        assert set(trace_abs(ctx, x) for x in range(ctx.q)) == set(range(p))
+            assert ctx.trace(ctx.add(x, y)) == (ctx.trace(x) + ctx.trace(y)) % p
+            assert ctx.trace(ctx.pow(x, p)) == ctx.trace(x)
+        assert set(ctx.trace(x) for x in range(ctx.q)) == set(range(p))
 
 
 # ---------------------------------------------------------------------------
@@ -269,34 +278,34 @@ def test_trace_additive_and_frobenius_invariant():
 
 def test_chi_gf5():
     ctx = get_ctx(5, 1)
-    assert quad_char(ctx, 0) == 0
-    assert quad_char(ctx, 1) == 1
-    assert quad_char(ctx, 2) == -1
-    assert quad_char(ctx, 4) == 1
+    assert ctx.chi(0) == 0
+    assert ctx.chi(1) == 1
+    assert ctx.chi(2) == -1
+    assert ctx.chi(4) == 1
 
 
 def test_chi_minus_one_gf9():
     ctx = get_ctx(3, 2)
-    assert quad_char(ctx, ctx.neg_one) == 1  # q = 1 (mod 4)
+    assert ctx.chi(ctx.neg_one) == 1  # q = 1 (mod 4)
 
 
 def test_chi_char2_is_error():
     with pytest.raises(CharTwoUnsupported):
-        quad_char(get_ctx(2, 3), 1)
+        get_ctx(2, 3).chi(1)
 
 
 def test_chi_squares_multiplicativity_and_balance():
     rng = SplitMix64(13)
     for p, n in [(3, 2), (5, 2), (7, 1), (11, 1), (3, 4)]:
         ctx = get_ctx(p, n)
-        squares = {ff_mul(ctx, x, x) for x in range(1, ctx.q)}
+        squares = {ctx.mul(x, x) for x in range(1, ctx.q)}
         for x in range(ctx.q):
             expected = 0 if x == 0 else (1 if x in squares else -1)
-            assert quad_char(ctx, x) == expected
+            assert ctx.chi(x) == expected
         for _ in range(100):
             a, b = rng.below(ctx.q), rng.below(ctx.q)
-            assert quad_char(ctx, ff_mul(ctx, a, b)) == quad_char(ctx, a) * quad_char(ctx, b)
-        assert sum(quad_char(ctx, x) for x in range(ctx.q)) == 0
+            assert ctx.chi(ctx.mul(a, b)) == ctx.chi(a) * ctx.chi(b)
+        assert sum(ctx.chi(x) for x in range(ctx.q)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -368,10 +377,10 @@ def test_char_sum_examples():
     gf5 = get_ctx(5, 1)
     assert char_sum_quadratic(gf5, 1, 0, 0) == 4  # f = x^2, degenerate
     assert char_sum_quadratic(gf5, 1, 0, 1) == -1  # f = x^2 + 1
-    assert sum(quad_char(gf5, (x * x + 1) % 5) for x in range(5)) == -1
+    assert sum(gf5.chi((x * x + 1) % 5) for x in range(5)) == -1
     gf7 = get_ctx(7, 1)
     assert char_sum_quadratic(gf7, 2, 1, 0) == -1
-    assert sum(quad_char(gf7, (2 * x * x + x) % 7) for x in range(7)) == -1
+    assert sum(gf7.chi((2 * x * x + x) % 7) for x in range(7)) == -1
 
 
 def test_char_sum_closed_form_vs_direct():
