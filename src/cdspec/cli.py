@@ -296,7 +296,7 @@ def cmd_gamma(args) -> int:
         raise ParseError(f"--n must be >= 1, got {n}")
     closed = closed_forms.gamma_5n_closed(n)
     direct = None
-    if 5 ** n <= args.budget_q:
+    if 5 ** n <= min(args.budget_q, DEFAULT_ENUM_CAP):  # contexts stop at 2^22
         ctx = build_context(FieldSpec(5, n), enum_cap=args.budget_q)
         direct = gamma_5n_direct(ctx)
     payload = {

@@ -7,6 +7,16 @@ successor and trace tables; in odd characteristic it also carries the
 quadratic-character table and the Zech-logarithm table Z(k) = log(1 + g^k),
 through which the vectorised vec_add/vec_sub work (characteristic 2 adds by
 XOR).  Every field order up to DEFAULT_ENUM_CAP gets its tables.
+
+The tables are built from GF(p)-linear maps on digit vectors.  The matrix
+of x -> a*x is a combination of powers of the modulus's companion matrix.
+The generator is the least element whose matrix powers pass the order test
+for every prime factor of q - 1.  The antilog table is built by doubling,
+exp[m:2m] = g^m * exp[:m], each block mapped through two lookup tables of
+about sqrt(q) entries (low and high halves of the digits) and one
+digit-wise add.  The absolute trace is the matrix trace of x -> a*x, so
+Tr(x) = sum_i x_i Tr(X^i) mod p.  The polynomial routines (vec_mul_poly,
+_mul_scalar, _pow_scalar) remain as table-free references.
 """
 
 from __future__ import annotations
@@ -31,6 +41,8 @@ from .errors import (
 DEFAULT_ENUM_CAP = 1 << 22
 
 _VEC_CHUNK = 1 << 16
+_GEN_BATCH = 16  # generator candidates tested per batch
+_UNPACK_BITS = 12  # packed bits per unpacking lookup (4096-entry tables)
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +112,60 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     """arr made read-only: contexts and their cached tables are shared."""
     arr.setflags(write=False)
     return arr
+
+
+def _digit_rows(values: np.ndarray, p: int, n: int) -> np.ndarray:
+    """Little-endian base-p digits of each value, shape (len(values), n)."""
+    place = p ** np.arange(n, dtype=np.int64)
+    return np.asarray(values, dtype=np.int64)[:, None] // place % p
+
+
+def _linear_mapper(p: int, n: int):
+    """apply(mat, x): the encodings of digits(x) @ mat over GF(p).
+
+    For n = 1 this is x * mat mod p.  Otherwise it is the image of the low
+    h = ceil(n/2) digits plus that of the high ones: two lookup tables of
+    about sqrt(q) packed digit vectors, built per matrix, and one digit-wise
+    add.  For p = 2 the packing is the encoding and the add is XOR.  For odd
+    p each digit takes a (p.bit_length() + 1)-bit lane, so one integer add
+    overflows no lane (lane sums stay below 2p), and tables over a few lanes
+    at a time reduce each lane mod p and put it at its base-p place."""
+    if n == 1:
+        return lambda mat, x: x * int(mat[0, 0]) % p
+    h = (n + 1) // 2
+    split = p ** h
+    # digit rows of every low part (first h columns), then of every high part
+    parts = np.zeros((split + p ** (n - h), n), dtype=np.int64)
+    parts[:split, :h] = _digit_rows(np.arange(split), p, h)
+    parts[split:, h:] = _digit_rows(np.arange(p ** (n - h)), p, n - h)
+
+    if p == 2:
+        weights = np.int64(1) << np.arange(n, dtype=np.int64)
+
+        def apply(mat, x):
+            table = parts @ mat % 2 @ weights
+            return table[:split][x & (split - 1)] ^ table[split:][x >> h]
+        return apply
+
+    w = p.bit_length() + 1
+    weights = np.int64(1) << (w * np.arange(n, dtype=np.int64))
+    # Unpacking reads g lanes at a time through a table that maps each lane
+    # sum s_i < 2p to (s_i mod p) at its base-p place.
+    g = max(1, min(n, _UNPACK_BITS // w))
+    lanes = np.arange(1 << (g * w), dtype=np.int64)
+    group = sum((lanes >> (w * i) & (1 << w) - 1) % p * p ** i for i in range(g))
+    unpack = [(w * j, group * p ** j) for j in range(0, n, g)]
+    group_mask = (1 << (g * w)) - 1
+
+    def apply(mat, x):
+        table = parts @ mat % p @ weights
+        hi, lo = np.divmod(x, split)
+        s = table[:split][lo] + table[split:][hi]
+        out = unpack[0][1][s & group_mask]
+        for shift, digits in unpack[1:]:
+            out += digits[(s >> shift) & group_mask]
+        return out
+    return apply
 
 
 # ---------------------------------------------------------------------------
@@ -242,18 +308,17 @@ class FieldContext:
         self.modulus = modulus
         self.neg_one = 1 if self.p == 2 else self.p - 1
         self._mod_list = list(modulus)
-        # x^(n+t) mod modulus for t in [0, n-2], as digit rows
-        self._red_rows = self._reduction_rows()
-        self._q1_factors = prime_factors(self.q - 1) if self.q > 2 else []
-        self.generator = self._find_generator()
+        cpow = self._companion_powers()
+        self.generator = self._find_generator(cpow)
         # One (d, x^d table) slot, rebound in a single assignment so that
         # concurrent readers see either the old or the new pair, never a mix.
         self._pow_cache: tuple[int, Optional[np.ndarray]] = (0, None)
-        self._build_tables()
+        self._build_tables(cpow)
 
     # -- construction internals ------------------------------------------
 
     def _reduction_rows(self) -> list[list[int]]:
+        """x^(n+t) mod modulus for t in [0, n-2], as digit rows (vec_mul_poly)."""
         p, n = self.p, self.n
         rows = []
         cur = _pmod([0] * n + [1], self._mod_list, p)  # x^n mod f
@@ -263,59 +328,100 @@ class FieldContext:
             cur = _pmod([0] + cur, self._mod_list, p)  # multiply by x
         return rows
 
-    def _find_generator(self) -> int:
-        order = self.q - 1
-        for cand in range(1, self.q):
-            if all(self._pow_scalar(cand, order // r) != 1 for r in self._q1_factors):
-                return cand
+    # Multiplication by a fixed a is GF(p)-linear on digit vectors.  With
+    # digits as rows, its matrix R_a has row i = digits of a * X^i, and
+    # R_a = sum_i a_i R_X^i for the companion matrix R_X of the modulus.
+
+    def _companion_powers(self) -> np.ndarray:
+        """R_X^0, ..., R_X^(n-1), stacked; row 0 of R_X^i is digits of X^i."""
+        p, n = self.p, self.n
+        comp = np.zeros((n, n), dtype=np.int64)
+        comp[:-1, 1:] = np.eye(n - 1, dtype=np.int64)
+        comp[-1] = [(-c) % p for c in self.modulus[:n]]  # X^n mod modulus
+        out = np.empty((n, n, n), dtype=np.int64)
+        out[0] = np.eye(n, dtype=np.int64)
+        for i in range(1, n):
+            out[i] = out[i - 1] @ comp % p
+        return out
+
+    def _mul_matrices(self, elems: np.ndarray, cpow: np.ndarray) -> np.ndarray:
+        """R_a for every a in elems, shape (len(elems), n, n)."""
+        n = self.n
+        flat = _digit_rows(elems, self.p, n) @ cpow.reshape(n, n * n) % self.p
+        return flat.reshape(-1, n, n)
+
+    def _find_generator(self, cpow: np.ndarray) -> int:
+        """Least a with a^((q-1)/r) != 1 for every prime r | q - 1, tested
+        on a batch of candidates at once.  The digits of a^e are those of 1
+        times R_a^e, built from the squarings R_a^(2^k) that every e shares."""
+        p, n, order = self.p, self.n, self.q - 1
+        exps = [order // r for r in prime_factors(order)]
+        # per bit k: which exponents have it set
+        steps = [np.array([j for j, e in enumerate(exps) if e >> k & 1], dtype=np.intp)
+                 for k in range(order.bit_length())]
+        one = np.zeros(n, dtype=np.int64)
+        one[0] = 1
+        # GF(p)^* has order p - 1 < q - 1, so for n > 1 the search starts at X.
+        for lo in range(1 if n == 1 else p, self.q, _GEN_BATCH):
+            cands = np.arange(lo, min(lo + _GEN_BATCH, self.q), dtype=np.int64)
+            sq = self._mul_matrices(cands, cpow)
+            powers = np.broadcast_to(one, (len(cands), len(exps), n)).copy()
+            for sel in steps:
+                if sel.size:
+                    powers[:, sel] = powers[:, sel] @ sq % p
+                sq = sq @ sq % p
+            primitive = (powers != one).any(axis=2).all(axis=1)
+            if primitive.any():
+                return int(cands[primitive.argmax()])
         raise ReducibleModulus(f"no generator found; modulus {self.modulus} is not irreducible")
 
-    def _build_tables(self) -> None:
+    def _build_exp(self, cpow: np.ndarray) -> np.ndarray:
+        """exp[k] = g^k by doubling: exp[m:2m] = g^m * exp[:m], where the
+        matrix of g^(2m) is the square of the matrix of g^m."""
+        p, n, order = self.p, self.n, self.q - 1
+        apply = _linear_mapper(p, n)
+        exp = np.empty(order, dtype=np.int64)
+        exp[0] = 1
+        gm = self._mul_matrices(np.array([self.generator]), cpow)[0]
+        m = 1
+        while m < order:
+            k = min(m, order - m)
+            exp[m:m + k] = apply(gm, exp[:k])
+            gm = gm @ gm % p
+            m *= 2
+        return exp
+
+    def _build_tables(self, cpow: np.ndarray) -> None:
         p, n, q = self.p, self.n, self.q
         order = q - 1
-        block = math.isqrt(order) + 1
-        g1 = np.empty(block, dtype=np.int64)
-        cur = 1
-        for j in range(block):
-            g1[j] = cur
-            cur = self._mul_scalar(cur, self.generator)
-        gb = int(g1[-1])
-        gb = self._mul_scalar(gb, self.generator)  # generator^block
-        n_blocks = (order + block - 1) // block
-        g2 = np.empty(n_blocks, dtype=np.int64)
-        cur = 1
-        for j in range(n_blocks):
-            g2[j] = cur
-            cur = self._mul_scalar(cur, gb)
-        idx = np.arange(order, dtype=np.int64)
-        exp = self.vec_mul_poly(g2[idx // block], g1[idx % block])
+        exp = self._build_exp(cpow)
         log = np.full(q, -1, dtype=np.int64)
-        log[exp] = idx
+        log[exp] = np.arange(order, dtype=np.int64)
         if log[0] != -1 or int((log[1:] >= 0).sum()) != order:
             raise ReducibleModulus(
                 f"element {self.generator} does not generate GF({p}^{n})^*"
             )
         self.exp = _frozen(exp)
         self.log = _frozen(log)
-        X = np.arange(q, dtype=np.int64)
-        d0 = X % p
-        self.succ = _frozen(X - d0 + (d0 + 1) % p)
+        succ = np.arange(1, q + 1, dtype=np.int64)
+        succ[p - 1::p] -= p  # the constant digit wraps from p - 1 to 0
+        self.succ = _frozen(succ)
         if p != 2:
             # Zech logarithm Z(k) = log(1 + g^k); -1 where 1 + g^k = 0
-            self.zech = _frozen(log[self.succ[exp]])
+            self.zech = _frozen(log[succ[exp]])
             chi = np.zeros(q, dtype=np.int64)
-            chi[exp] = 1 - 2 * (idx & 1)
+            chi[exp[0::2]] = 1
+            chi[exp[1::2]] = -1
             self.chi_table = _frozen(chi)
-        # absolute trace: sum of Frobenius iterates
-        frob = np.empty(q, dtype=np.int64)
-        frob[0] = 0
-        frob[exp] = exp[(idx * p) % order]
-        acc = X.copy()
-        cur_arr = X
-        for _ in range(n - 1):
-            cur_arr = frob[cur_arr]
-            acc = self.vec_add(acc, cur_arr)
-        self.trace_table = _frozen(acc)
+        # The absolute trace is GF(p)-linear and Tr(a) is the matrix trace of
+        # R_a, so Tr(x) = sum_i x_i Tr(X^i), built one digit at a time.
+        basis_trace = np.trace(cpow, axis1=1, axis2=2) % p
+        tr = np.zeros(1, dtype=np.int64)
+        for t in basis_trace:
+            tr = (np.arange(p, dtype=np.int64) * t)[:, None] + tr
+            tr %= p
+            tr = tr.ravel()
+        self.trace_table = _frozen(tr)
 
     # -- scalar arithmetic ------------------------------------------------
 
@@ -425,16 +531,19 @@ class FieldContext:
         return out.reshape(shape)
 
     def vec_mul_poly(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Elementwise field product by polynomial convolution; table-free."""
+        """Elementwise field product by polynomial convolution; table-free,
+        kept as a reference for the table construction."""
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
+        red_rows = self._reduction_rows()
         out = np.empty(a.shape, dtype=np.int64)
         for lo in range(0, a.size, _VEC_CHUNK):
             hi = min(lo + _VEC_CHUNK, a.size)
-            out[lo:hi] = self._mul_poly_chunk(a[lo:hi], b[lo:hi])
+            out[lo:hi] = self._mul_poly_chunk(a[lo:hi], b[lo:hi], red_rows)
         return out
 
-    def _mul_poly_chunk(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def _mul_poly_chunk(self, a: np.ndarray, b: np.ndarray,
+                        red_rows: list[list[int]]) -> np.ndarray:
         p, n = self.p, self.n
         if n == 1:
             return (a * b) % p
@@ -446,7 +555,7 @@ class FieldContext:
                 conv[i + j] += da[i] * db[j]
         for t in range(n - 2, -1, -1):
             top = conv[n + t] % p
-            row = self._red_rows[t]
+            row = red_rows[t]
             for j in range(n):
                 if row[j]:
                     conv[j] += top * row[j]

@@ -206,6 +206,16 @@ def test_gamma_n3(capsys):
     assert payload["closed"] == -22 and payload["equal"] is True
 
 
+def test_gamma_budget_above_table_ceiling_skips_direct(capsys):
+    # 5^10 fits the budget but not the 2^22 table ceiling: closed form only.
+    code, out, _ = run_cli(capsys, "gamma", "--n", "10", "--budget-q", "10000000",
+                           "--format", "json")
+    assert code == EXIT_OK
+    assert '"direct":null' in out
+    assert json.loads(out)["closed"] == json.loads(
+        run_cli(capsys, "gamma", "--n", "10", "--format", "json")[1])["closed"]
+
+
 def test_fuzz_cli(capsys):
     code, out, _ = run_cli(
         capsys, "fuzz", "--seed", "1", "--count", "10", "--budget-q", "49",
