@@ -32,6 +32,11 @@ EXIT_INCONSISTENT = 3
 EXIT_USAGE = 64
 EXIT_BUDGET = 65
 
+# |gamma_5n| <= 2 * 5^(n/2) (Hasse) stays below 10^4300 exactly while
+# n <= 12302.  Python refuses to print a longer int by default, and main
+# runs in-process, so the limit is not lifted here.
+GAMMA_MAX_N = 12302
+
 _VERDICT_EXIT = {
     verifier.MATCH: EXIT_OK,
     verifier.NO_PREDICTOR: EXIT_OK,
@@ -238,9 +243,7 @@ def cmd_verify(args) -> int:
 def cmd_sweep(args) -> int:
     ctx = _build_ctx(args)
     d = parse_d(ctx, args.d, args.k)
-    result = verifier.sweep_c(
-        ctx.p, ctx.n, d, n4_budget=args.budget_n4, ctx=ctx,
-    )
+    result = verifier.sweep_c(ctx, d, n4_budget=args.budget_n4)
     if args.format == "json":
         _emit(args, to_json(result.as_dict()))
     elif args.format == "csv":
@@ -266,9 +269,7 @@ def cmd_sweep(args) -> int:
 def cmd_scan(args) -> int:
     ctx = _build_ctx(args)
     c = parse_c(ctx, args.c)
-    result = verifier.scan_exponents(
-        ctx.p, ctx.n, c, args.max_uniformity, ctx=ctx,
-    )
+    result = verifier.scan_exponents(ctx, c, args.max_uniformity)
     if args.format == "json":
         _emit(args, to_json(result.as_dict()))
     elif args.format == "csv":
@@ -294,6 +295,10 @@ def cmd_gamma(args) -> int:
     n = args.n
     if n < 1:
         raise ParseError(f"--n must be >= 1, got {n}")
+    if n > GAMMA_MAX_N:
+        raise BudgetExceeded(
+            f"--n {n} exceeds {GAMMA_MAX_N}: the closed value could pass 4300 digits"
+        )
     closed = closed_forms.gamma_5n_closed(n)
     direct = None
     if 5 ** n <= min(args.budget_q, DEFAULT_ENUM_CAP):  # contexts stop at 2^22
@@ -348,20 +353,25 @@ def cmd_fuzz(args) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
-def _add_common(sub, *, field=True, d=False, c=False, budget_q=DEFAULT_ENUM_CAP):
+def _add_common(sub, *, field=True, d=False, c=False, n4=False, seed=False,
+                budget_q=DEFAULT_ENUM_CAP):
+    """Add the flags a subcommand reads, and no others: an unread flag is a
+    usage error (exit 64), not silently ignored."""
     if field:
         sub.add_argument("--field", required=True,
                          help='field as "p^n" or "p^n/c0,c1,...,cn"')
     if d:
         sub.add_argument("--d", required=True, help="exponent (integer or named form)")
+        sub.add_argument("--k", type=int, default=None, help="k for the pk1half exponent form")
     if c:
         sub.add_argument("--c", required=True, help='c value ("-1", integer, e:ENC, digits)')
-    sub.add_argument("--k", type=int, default=None, help="k for the pk1half exponent form")
     sub.add_argument("--budget-q", type=int, default=budget_q,
                      help="max field size for enumeration")
-    sub.add_argument("--budget-n4", type=int, default=DEFAULT_N4_BUDGET,
-                     help="max field size for the quadruple count")
-    sub.add_argument("--seed", type=int, default=1, help="PRNG seed")
+    if n4:
+        sub.add_argument("--budget-n4", type=int, default=DEFAULT_N4_BUDGET,
+                         help="max field size for the quadruple count")
+    if seed:
+        sub.add_argument("--seed", type=int, default=1, help="PRNG seed")
     sub.add_argument("--format", choices=("json", "csv", "text"), default="text")
     sub.add_argument("--out", default=None, help="write output to FILE instead of stdout")
 
@@ -378,11 +388,11 @@ def make_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_spectrum)
 
     sp = subs.add_parser("verify", help="compare enumeration against closed forms")
-    _add_common(sp, d=True, c=True)
+    _add_common(sp, d=True, c=True, n4=True)
     sp.set_defaults(func=cmd_verify)
 
     sp = subs.add_parser("sweep", help="verify every c in the field")
-    _add_common(sp, d=True)
+    _add_common(sp, d=True, n4=True)
     sp.set_defaults(func=cmd_sweep)
 
     sp = subs.add_parser("scan", help="scan exponent classes by uniformity")
@@ -396,7 +406,7 @@ def make_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_gamma)
 
     sp = subs.add_parser("fuzz", help="randomised identity checks")
-    _add_common(sp, field=False, budget_q=343)  # every draw runs a quadruple count
+    _add_common(sp, field=False, seed=True, budget_q=343)  # every draw runs a quadruple count
     sp.add_argument("--count", type=int, default=100)
     sp.set_defaults(func=cmd_fuzz)
 

@@ -229,14 +229,21 @@ def predict_pk1_half(p: int, n: int, k: int) -> SpectrumPrediction:
 # ---------------------------------------------------------------------------
 
 def gamma_5n_closed(n: int) -> int:
-    """Binomial closed form of the cubic character sum over GF(5^n)."""
+    """Closed form of the cubic character sum over GF(5^n):
+    (-1)^(n+1) * sum_k (-1)^k C(n, 2k) 2^(2k+1) = (-1)^(n+1) * 2 Re((1+2i)^n),
+    with (1+2i)^n computed by squaring on Gaussian-integer pairs."""
     if n < 1:
         raise Inapplicable(f"needs n >= 1, got {n}")
+    re, im = 1, 0
+    base_re, base_im = 1, 2
+    e = n
+    while e:
+        if e & 1:
+            re, im = re * base_re - im * base_im, re * base_im + im * base_re
+        base_re, base_im = base_re * base_re - base_im * base_im, 2 * base_re * base_im
+        e >>= 1
     sign = 1 if n % 2 == 1 else -1
-    total = 0
-    for k in range(n // 2 + 1):
-        total += (-1) ** k * math.comb(n, 2 * k) * 2 ** (2 * k + 1)
-    return sign * total
+    return sign * 2 * re
 
 
 def n4_closed_5n(n: int) -> int:

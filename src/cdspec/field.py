@@ -2,11 +2,13 @@
 
 Field elements are encoded as integers in [0, p^n): the little-endian
 base-p digits of the encoding are the coefficients of the residue
-polynomial.  A FieldContext carries dense, read-only log/antilog,
-successor and trace tables; in odd characteristic it also carries the
-quadratic-character table and the Zech-logarithm table Z(k) = log(1 + g^k),
-through which the vectorised vec_add/vec_sub work (characteristic 2 adds by
-XOR).  Every field order up to DEFAULT_ENUM_CAP gets its tables.
+polynomial.  A FieldContext carries dense, read-only tables, one per fact:
+exp (antilog), log and succ (x -> x + 1); in odd characteristic also the
+Zech-logarithm table Z(k) = log(1 + g^k), through which the vectorised
+vec_add/vec_sub work (characteristic 2 adds by XOR).  Every field order up
+to DEFAULT_ENUM_CAP gets its tables.  The quadratic character and the trace
+are derived, not stored: the generator g is a nonsquare, so chi(g^k) =
+(-1)^k, and the trace is GF(p)-linear in the digits.
 
 The tables are built from GF(p)-linear maps on digit vectors.  The matrix
 of x -> a*x is a combination of powers of the modulus's companion matrix.
@@ -15,8 +17,9 @@ for every prime factor of q - 1.  The antilog table is built by doubling,
 exp[m:2m] = g^m * exp[:m], each block mapped through two lookup tables of
 about sqrt(q) entries (low and high halves of the digits) and one
 digit-wise add.  The absolute trace is the matrix trace of x -> a*x, so
-Tr(x) = sum_i x_i Tr(X^i) mod p.  The polynomial routines (vec_mul_poly,
-_mul_scalar, _pow_scalar) remain as table-free references.
+Tr(x) = sum_i x_i Tr(X^i) mod p over the n basis traces.  The polynomial
+routines (vec_mul_poly, _mul_scalar, _pow_scalar) and the digit loop of the
+scalar add remain as table-free references.
 """
 
 from __future__ import annotations
@@ -409,19 +412,9 @@ class FieldContext:
         if p != 2:
             # Zech logarithm Z(k) = log(1 + g^k); -1 where 1 + g^k = 0
             self.zech = _frozen(log[succ[exp]])
-            chi = np.zeros(q, dtype=np.int64)
-            chi[exp[0::2]] = 1
-            chi[exp[1::2]] = -1
-            self.chi_table = _frozen(chi)
         # The absolute trace is GF(p)-linear and Tr(a) is the matrix trace of
-        # R_a, so Tr(x) = sum_i x_i Tr(X^i), built one digit at a time.
-        basis_trace = np.trace(cpow, axis1=1, axis2=2) % p
-        tr = np.zeros(1, dtype=np.int64)
-        for t in basis_trace:
-            tr = (np.arange(p, dtype=np.int64) * t)[:, None] + tr
-            tr %= p
-            tr = tr.ravel()
-        self.trace_table = _frozen(tr)
+        # R_a, so Tr(x) = sum_i x_i Tr(X^i) needs only the basis traces.
+        self._basis_trace = tuple(int(t) % p for t in np.trace(cpow, axis1=1, axis2=2))
 
     # -- scalar arithmetic ------------------------------------------------
 
@@ -438,19 +431,10 @@ class FieldContext:
         return out
 
     def sub(self, a: int, b: int) -> int:
-        p = self.p
-        if p == 2:
-            return a ^ b
-        out, pk = 0, 1
-        while a or b:
-            a, da = divmod(a, p)
-            b, db = divmod(b, p)
-            out += ((da - db) % p) * pk
-            pk *= p
-        return out
+        return self.add(a, self.neg(b))
 
     def neg(self, a: int) -> int:
-        return self.sub(0, a)
+        return self.mul(self.neg_one, a)
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -489,15 +473,27 @@ class FieldContext:
 
     def trace(self, x: int) -> int:
         """Absolute trace x + x^p + ... + x^(p^(n-1)), a prime-field value."""
-        return int(self.trace_table[x])
+        p, out = self.p, 0
+        for t in self._basis_trace:
+            x, digit = divmod(x, p)
+            out += digit * t
+        return out % p
 
     def chi(self, x: int) -> int:
-        """Quadratic character: +1 for nonzero squares, -1 for nonsquares, 0 at 0."""
+        """Quadratic character: +1 for nonzero squares, -1 for nonsquares, 0 at 0.
+        The generator is a nonsquare, so chi(g^k) = (-1)^k (Euler's criterion)."""
         if self.p == 2:
             raise CharTwoUnsupported("quadratic character needs odd characteristic")
-        return int(self.chi_table[x])
+        return 0 if x == 0 else 1 - 2 * (int(self.log[x]) & 1)
 
     # -- vectorised arithmetic on encoding arrays -------------------------
+
+    def vec_chi(self, arr) -> np.ndarray:
+        """chi(x) elementwise."""
+        if self.p == 2:
+            raise CharTwoUnsupported("quadratic character needs odd characteristic")
+        arr = np.asarray(arr, dtype=np.int64)
+        return np.where(arr == 0, 0, 1 - 2 * (self.log[arr] & 1))
 
     def vec_add(self, a, b):
         """a + b elementwise, with broadcasting."""
@@ -591,9 +587,6 @@ class FieldContext:
         self._pow_cache = (d, _frozen(t))
         return t
 
-    def elements(self) -> range:
-        return range(self.q)
-
     def __repr__(self) -> str:
         return f"FieldContext(GF({self.p}^{self.n}), modulus={self.modulus})"
 
@@ -682,7 +675,7 @@ def gamma_5n_direct(ctx: FieldContext) -> int:
     X = np.arange(ctx.q, dtype=np.int64)
     cubes = ctx.pow_table(3)
     vals = ctx.vec_sub(cubes, X)  # x^3 - x = x(x-1)(x+1)
-    return int(ctx.chi_table[vals].sum(dtype=np.int64))
+    return int(ctx.vec_chi(vals).sum(dtype=np.int64))
 
 
 def partition_by_chi(ctx: FieldContext) -> tuple[int, int, int, int]:
@@ -691,8 +684,8 @@ def partition_by_chi(ctx: FieldContext) -> tuple[int, int, int, int]:
     if ctx.p == 2:
         raise CharTwoUnsupported("partition needs odd characteristic")
     X = np.arange(ctx.q, dtype=np.int64)
-    cx = ctx.chi_table[X]
-    cy = ctx.chi_table[ctx.succ]
+    cx = ctx.vec_chi(X)
+    cy = ctx.vec_chi(ctx.succ)
     mask = (X != 0) & (X != ctx.neg_one)
     out = []
     for i, j in ((1, 1), (1, -1), (-1, 1), (-1, -1)):

@@ -156,23 +156,12 @@ class SweepResult:
         }
 
 
-def sweep_c(
-    p: int,
-    n: int,
-    d: int,
-    *,
-    modulus: Optional[tuple[int, ...]] = None,
-    n4_budget: int = 0,
-    enum_cap: int = DEFAULT_ENUM_CAP,
-    ctx: Optional[FieldContext] = None,
-) -> SweepResult:
+def sweep_c(ctx: FieldContext, d: int, *, n4_budget: int = 0) -> SweepResult:
     """One verify report per c in GF(q) except c = 1.
 
     The quadruple-count check defaults off here (it multiplies the sweep cost
     by q); pass n4_budget to enable it.
     """
-    if ctx is None:
-        ctx = build_context(FieldSpec(p, n, modulus), enum_cap=enum_cap)
     reports = []
     for c in range(ctx.q):
         if c == 1:
@@ -189,7 +178,7 @@ def sweep_c(
         ),
     }
     return SweepResult(
-        p=p, n=n, modulus=ctx.modulus, d=reports[0].d if reports else d,
+        p=ctx.p, n=ctx.n, modulus=ctx.modulus, d=reports[0].d if reports else d,
         reports=reports, tallies=tallies,
     )
 
@@ -250,34 +239,23 @@ class ScanResult:
         }
 
 
-def scan_exponents(
-    p: int,
-    n: int,
-    c: int,
-    max_uniformity: int,
-    *,
-    modulus: Optional[tuple[int, ...]] = None,
-    enum_cap: int = DEFAULT_ENUM_CAP,
-    ctx: Optional[FieldContext] = None,
-) -> ScanResult:
+def scan_exponents(ctx: FieldContext, c: int, max_uniformity: int) -> ScanResult:
     """All cyclotomic-class representatives d whose uniformity stays under
     the threshold, with their spectra."""
-    if ctx is None:
-        ctx = build_context(FieldSpec(p, n, modulus), enum_cap=enum_cap)
     rows = []
-    for d in cyclotomic_representatives(p, ctx.q):
+    for d in cyclotomic_representatives(ctx.p, ctx.q):
         spec = c_spectrum(PowerMapCase(ctx, d, c))
         if spec.uniformity <= max_uniformity:
             rows.append(
                 {
                     "d": d,
-                    "class": cyclotomic_class(p, ctx.q, d),
+                    "class": cyclotomic_class(ctx.p, ctx.q, d),
                     "uniformity": spec.uniformity,
                     "omega": {str(i): w for i, w in sorted(spec.omega.items())},
                 }
             )
     return ScanResult(
-        p=p, n=n, modulus=ctx.modulus, c=c, max_uniformity=max_uniformity, rows=rows
+        p=ctx.p, n=ctx.n, modulus=ctx.modulus, c=c, max_uniformity=max_uniformity, rows=rows
     )
 
 

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from cdspec.cli import EXIT_BUDGET, EXIT_INCONSISTENT, EXIT_OK, EXIT_USAGE, main
+from cdspec.cli import EXIT_BUDGET, EXIT_INCONSISTENT, EXIT_OK, EXIT_USAGE, GAMMA_MAX_N, main
 
 from conftest import get_ctx
 
@@ -216,6 +216,29 @@ def test_gamma_budget_above_table_ceiling_skips_direct(capsys):
         run_cli(capsys, "gamma", "--n", "10", "--format", "json")[1])["closed"]
 
 
+@pytest.mark.parametrize("n", [13000, 20000])
+def test_gamma_rejects_n_past_digit_bound_at_once(capsys, n):
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "gamma", "--n", str(n), "--format", "json")
+    assert time.perf_counter() - started < 2.0
+    assert code == EXIT_BUDGET and out == "" and str(GAMMA_MAX_N) in err
+
+
+def test_gamma_max_n_is_the_digit_bound():
+    # |gamma| <= 2 * 5^(n/2) < 10^4300 exactly while n <= GAMMA_MAX_N
+    assert 4 * 5 ** GAMMA_MAX_N < 10 ** 8600 <= 4 * 5 ** (GAMMA_MAX_N + 1)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_gamma_at_max_n_prints_in_every_format(capsys, fmt):
+    code, out, _ = run_cli(capsys, "gamma", "--n", str(GAMMA_MAX_N), "--format", fmt)
+    assert code == EXIT_OK
+    if fmt == "json":
+        closed = json.loads(out)["closed"]
+        assert json.loads(out)["direct"] is None
+        assert 4000 < len(str(abs(closed))) <= 4300
+
+
 def test_fuzz_cli(capsys):
     code, out, _ = run_cli(
         capsys, "fuzz", "--seed", "1", "--count", "10", "--budget-q", "49",
@@ -241,3 +264,27 @@ def test_out_file(tmp_path, capsys):
 
 def test_usage_error_on_unknown_command(capsys):
     assert main(["bogus"]) == EXIT_USAGE
+
+
+# Each subcommand accepts only the flags it reads.
+_UNREAD_FLAGS = [
+    (("spectrum", "--field", "5^1", "--d", "3", "--c", "-1"), ("--budget-n4", "125")),
+    (("spectrum", "--field", "5^1", "--d", "3", "--c", "-1"), ("--seed", "1")),
+    (("verify", "--field", "5^1", "--d", "3", "--c", "-1"), ("--seed", "1")),
+    (("sweep", "--field", "5^1", "--d", "3"), ("--seed", "1")),
+    (("scan", "--field", "5^1", "--c", "-1", "--max-uniformity", "2"), ("--k", "1")),
+    (("scan", "--field", "5^1", "--c", "-1", "--max-uniformity", "2"), ("--budget-n4", "125")),
+    (("scan", "--field", "5^1", "--c", "-1", "--max-uniformity", "2"), ("--seed", "1")),
+    (("gamma", "--n", "2"), ("--k", "1")),
+    (("gamma", "--n", "2"), ("--budget-n4", "125")),
+    (("gamma", "--n", "2"), ("--seed", "1")),
+    (("fuzz", "--count", "1"), ("--k", "1")),
+    (("fuzz", "--count", "1"), ("--budget-n4", "125")),
+]
+
+
+@pytest.mark.parametrize("argv, flag", _UNREAD_FLAGS,
+                         ids=[f"{argv[0]}{flag[0]}" for argv, flag in _UNREAD_FLAGS])
+def test_unread_flag_is_a_usage_error(capsys, argv, flag):
+    assert run_cli(capsys, *argv)[0] == EXIT_OK
+    assert run_cli(capsys, *argv, *flag)[0] == EXIT_USAGE

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from cdspec import (
@@ -148,6 +150,18 @@ def test_gamma_closed_values():
     assert gamma_5n_closed(1) == 2
     assert gamma_5n_closed(2) == 6
     assert gamma_5n_closed(3) == -22
+
+
+def _gamma_binomial(n):
+    """The binomial sum the Gaussian-integer form replaces."""
+    sign = 1 if n % 2 == 1 else -1
+    return sign * sum((-1) ** k * math.comb(n, 2 * k) * 2 ** (2 * k + 1)
+                      for k in range(n // 2 + 1))
+
+
+def test_gamma_closed_matches_binomial_sum():
+    for n in range(1, 400):
+        assert gamma_5n_closed(n) == _gamma_binomial(n), n
 
 
 def test_gamma_closed_equals_direct():

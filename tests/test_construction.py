@@ -1,10 +1,11 @@
 """Differential tests of context construction against the polynomial path.
 
 The tables are built from GF(p)-linear maps (matrix generator search,
-doubling exp table, linear trace).  The references below are the earlier
-construction, written out here: the generator from the order test on
-_pow_scalar, the exp table by baby/giant steps through vec_mul_poly, and
-the trace as a sum of Frobenius iterates.
+doubling exp table); the trace and the quadratic character are derived from
+the basis traces and the parity of log.  The references below are written
+out here: the generator from the order test on _pow_scalar, the exp table by
+baby/giant steps through vec_mul_poly, chi from the set of squares, and the
+trace as a sum of Frobenius iterates.
 """
 
 import math
@@ -69,16 +70,16 @@ def _reference_tables(ctx, g):
     d0 = X % p
     succ = X - d0 + (d0 + 1) % p
     tables = {"exp": exp, "log": log, "succ": succ}
+    chi = None
     if p != 2:
         tables["zech"] = log[succ[exp]]
-        chi = np.zeros(q, dtype=np.int64)
-        chi[exp] = 1 - 2 * (idx & 1)
-        tables["chi_table"] = chi
+        chi = np.full(q, -1, dtype=np.int64)
+        chi[ctx.vec_mul_poly(X, X)] = 1
+        chi[0] = 0
     # x^(p^i) = g^(k * p^i) for x = g^k
     trace = np.zeros(q, dtype=np.int64)
     trace[exp] = _digit_sum([exp[idx * p ** i % order] for i in range(n)], p, n)
-    tables["trace_table"] = trace
-    return tables
+    return tables, chi, trace
 
 
 def _frobenius_trace(ctx, x):
@@ -91,8 +92,15 @@ def _frobenius_trace(ctx, x):
 def _check_against_reference(ctx):
     g = _reference_generator(ctx)
     assert ctx.generator == g
-    for name, ref in _reference_tables(ctx, g).items():
+    tables, chi, trace = _reference_tables(ctx, g)
+    stored = {k for k, v in vars(ctx).items() if isinstance(v, np.ndarray)}
+    assert stored == set(tables)  # one table per fact; chi and trace are derived
+    for name, ref in tables.items():
         assert np.array_equal(getattr(ctx, name), ref), name
+    assert [ctx.trace(x) for x in range(ctx.q)] == trace.tolist()
+    if chi is not None:
+        assert [ctx.chi(x) for x in range(ctx.q)] == chi.tolist()
+        assert np.array_equal(ctx.vec_chi(np.arange(ctx.q)), chi)
     rng = SplitMix64(ctx.q)
     for x in [0, 1, ctx.generator] + [rng.below(ctx.q) for _ in range(5)]:
         assert ctx.trace(x) == _frobenius_trace(ctx, x)

@@ -16,6 +16,8 @@ from cdspec.verifier import (
     cyclotomic_representatives,
 )
 
+from conftest import get_ctx
+
 
 # ---------------------------------------------------------------------------
 # splitmix64
@@ -97,7 +99,7 @@ def test_verify_budget_error():
 # ---------------------------------------------------------------------------
 
 def test_sweep_inverse_char2_all_match():
-    result = sweep_c(2, 4, 14)
+    result = sweep_c(get_ctx(2, 4), 14)
     assert len(result.reports) == 15  # c = 1 excluded
     by_c = {r.c: r for r in result.reports}
     assert by_c[0].verdict == NO_PREDICTOR  # c = 0: PcN, no spectrum theorem
@@ -111,7 +113,7 @@ def test_sweep_inverse_char2_all_match():
 
 
 def test_sweep_gf5_d3():
-    result = sweep_c(5, 1, 3)
+    result = sweep_c(get_ctx(5, 1), 3)
     by_c = {r.c: r for r in result.reports}
     assert by_c[0].computed.uniformity == 1  # PcN at c = 0
     assert result.tallies["pcn"] >= 1
@@ -119,7 +121,7 @@ def test_sweep_gf5_d3():
 
 
 def test_sweep_p3_plus3_other_c_no_predictor():
-    result = sweep_c(3, 2, 6)
+    result = sweep_c(get_ctx(3, 2), 6)
     by_c = {r.c: r for r in result.reports}
     assert by_c[2].verdict == MATCH  # c = -1
     for c, r in by_c.items():
@@ -150,25 +152,36 @@ def test_scan_gf25_includes_table_rows():
     # d = 11 = (25-3)/2 sits in the class {7, 11}; its smallest member is
     # retained.  d = 3 = (5+1)/2 is (c,3)-uniform here, so it shows up once
     # the threshold admits uniformity 3.
-    result = scan_exponents(5, 2, 4, 2)
+    result = scan_exponents(get_ctx(5, 2), 4, 2)
     classes = [row["class"] for row in result.rows]
     assert [7, 11] in classes
     assert all(row["uniformity"] <= 2 for row in result.rows)
-    wider = scan_exponents(5, 2, 4, 3)
+    wider = scan_exponents(get_ctx(5, 2), 4, 3)
     by_d = {row["d"]: row for row in wider.rows}
     assert 3 in by_d and by_d[3]["omega"] == {"0": 8, "1": 12, "2": 2, "3": 3}
     assert by_d[7]["omega"] == {"0": 8, "1": 9, "2": 8}
 
 
 def test_scan_pcn_rows_are_bijections():
-    result = scan_exponents(3, 2, 2, 1)
+    result = scan_exponents(get_ctx(3, 2), 2, 1)
     assert result.rows
     for row in result.rows:
         assert row["omega"]["1"] == 9
 
 
+def test_sweep_and_scan_take_the_field_from_the_context():
+    ctx = get_ctx(5, 2)
+    sweep = sweep_c(ctx, 6)
+    assert (sweep.p, sweep.n, sweep.modulus) == (5, 2, ctx.modulus)
+    assert len(sweep.reports) == 24
+    scan = scan_exponents(ctx, 4, 2)
+    assert (scan.p, scan.n, scan.modulus) == (5, 2, ctx.modulus)
+    for row in scan.rows:  # classes are orbits under d -> 5d mod 24
+        assert row["class"] == sorted({row["d"] * 5 ** i % 24 or 24 for i in range(2)})
+
+
 def test_scan_never_reports_two_members_of_a_class():
-    result = scan_exponents(5, 2, 4, 25)  # everything passes the threshold
+    result = scan_exponents(get_ctx(5, 2), 4, 25)  # everything passes the threshold
     ds = [row["d"] for row in result.rows]
     for d in ds:
         assert (d * 5) % 24 not in ds or (d * 5) % 24 == d
