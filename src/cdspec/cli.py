@@ -15,12 +15,12 @@ import sys
 from typing import Optional
 
 from . import closed_forms, verifier
-from .errors import BudgetExceeded, Error, ParseError
+from .errors import BudgetExceeded, Error, FieldTooLarge, ParseError
 from .field import (
-    DEFAULT_ENUM_CAP,
     FieldContext,
     FieldSpec,
     build_context,
+    encode_digits,
     gamma_5n_direct,
     parse_field_spec,
 )
@@ -71,10 +71,7 @@ def parse_c(ctx: FieldContext, text: str) -> int:
             raise ParseError(f"bad digit vector {text!r}") from exc
         if len(digits) > ctx.n or any(not 0 <= t < ctx.p for t in digits):
             raise ParseError(f"digit vector {text!r} invalid for GF({ctx.p}^{ctx.n})")
-        v = 0
-        for t in reversed(digits):
-            v = v * ctx.p + t
-        return v
+        return encode_digits(digits, ctx.p)
     try:
         k = int(text)
     except ValueError as exc:
@@ -109,8 +106,7 @@ def parse_d(ctx: FieldContext, text: str, k: Optional[int]) -> int:
 
 
 def _build_ctx(args) -> FieldContext:
-    spec = parse_field_spec(args.field)
-    return build_context(spec, enum_cap=args.budget_q)
+    return build_context(parse_field_spec(args.field))
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +296,11 @@ def cmd_gamma(args) -> int:
             f"--n {n} exceeds {GAMMA_MAX_N}: the closed value could pass 4300 digits"
         )
     closed = closed_forms.gamma_5n_closed(n)
-    direct = None
-    if 5 ** n <= min(args.budget_q, DEFAULT_ENUM_CAP):  # contexts stop at 2^22
-        ctx = build_context(FieldSpec(5, n), enum_cap=args.budget_q)
+    try:
+        ctx = build_context(FieldSpec(5, n))
+    except FieldTooLarge:
+        direct = None
+    else:
         direct = gamma_5n_direct(ctx)
     payload = {
         "n": n,
@@ -353,8 +351,7 @@ def cmd_fuzz(args) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
-def _add_common(sub, *, field=True, d=False, c=False, n4=False, seed=False,
-                budget_q=DEFAULT_ENUM_CAP):
+def _add_common(sub, *, field=True, d=False, c=False, n4=False, seed=False):
     """Add the flags a subcommand reads, and no others: an unread flag is a
     usage error (exit 64), not silently ignored."""
     if field:
@@ -365,8 +362,6 @@ def _add_common(sub, *, field=True, d=False, c=False, n4=False, seed=False,
         sub.add_argument("--k", type=int, default=None, help="k for the pk1half exponent form")
     if c:
         sub.add_argument("--c", required=True, help='c value ("-1", integer, e:ENC, digits)')
-    sub.add_argument("--budget-q", type=int, default=budget_q,
-                     help="max field size for enumeration")
     if n4:
         sub.add_argument("--budget-n4", type=int, default=DEFAULT_N4_BUDGET,
                          help="max field size for the quadruple count")
@@ -406,8 +401,10 @@ def make_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_gamma)
 
     sp = subs.add_parser("fuzz", help="randomised identity checks")
-    _add_common(sp, field=False, seed=True, budget_q=343)  # every draw runs a quadruple count
+    _add_common(sp, field=False, seed=True)
     sp.add_argument("--count", type=int, default=100)
+    # every draw runs a quadruple count
+    sp.add_argument("--budget-q", type=int, default=343, help="largest field order drawn")
     sp.set_defaults(func=cmd_fuzz)
 
     return parser

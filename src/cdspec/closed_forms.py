@@ -15,7 +15,7 @@ from enum import Enum
 
 from .errors import Inapplicable
 from .field import FieldContext
-from .spectrum import normalize_exponent
+from .spectrum import cyclotomic_class, normalize_exponent
 
 
 class TheoremId(Enum):
@@ -278,15 +278,25 @@ def predict_5n_minus3_half(n: int) -> SpectrumPrediction:
 def dispatch(ctx: FieldContext, d: int, c: int) -> list[SpectrumPrediction]:
     """Every closed-form prediction whose hypotheses hold at (p, n, d, c).
 
-    Exponents are compared modulo q - 1.  An empty list means the case is
-    brute-force only.
+    d matches a family exponent in its cyclotomic class, since x^d and
+    x^(pd) have the same spectrum at every c.  Residues modulo q - 1 are
+    compared first; the class of d is walked only when that fails, at most
+    once per call.  An empty list means the case is brute-force only.
     """
     p, n, q = ctx.p, ctx.n, ctx.q
     dn = normalize_exponent(d, q)
+    members: set[int] = set()  # the class of d, once walked
+
+    def matches(e: int) -> bool:
+        e = normalize_exponent(e, q)
+        if e != dn and not members:
+            members.update(cyclotomic_class(p, q, dn))
+        return e == dn or e in members
+
     preds: list[SpectrumPrediction] = []
 
     # inverse function rows: d = q - 2
-    if q >= 3 and dn == q - 2 and c not in (0, 1):
+    if q >= 3 and c not in (0, 1) and (dn == q - 2 or matches(q - 2)):
         if p == 2:
             preds.append(
                 predict_inverse_char2(n, ctx.trace(c), ctx.trace(ctx.inv(c)))
@@ -301,17 +311,19 @@ def dispatch(ctx: FieldContext, d: int, c: int) -> list[SpectrumPrediction]:
 
     if p > 2 and c == ctx.neg_one:
         if p == 3 and n >= 2:
-            if n % 2 == 0 and dn == normalize_exponent((q + 3) // 2, q):
+            if n % 2 == 0 and matches((q + 3) // 2):
                 preds.append(predict_3n_plus3_half(n))
-            if dn == normalize_exponent(q - 3, q):
+            if matches(q - 3):
                 preds.append(predict_3n_minus3(n))
         if p % 4 == 1 or (p % 4 == 3 and p > 7):
-            for k in range(1, 2 * n + 1):
-                if k % 2 == 1 and math.gcd(n, k) == 1:
-                    if normalize_exponent((p ** k + 1) // 2, q) == dn:
-                        preds.append(predict_pk1_half(p, n, k))
-                        break
-        if p == 5 and dn == normalize_exponent((q - 3) // 2, q):
+            ks = [k for k in range(1, 2 * n + 1, 2) if math.gcd(n, k) == 1]
+            # a k matching by residue is recorded before one matching by class
+            k = next((k for k in ks if normalize_exponent((p ** k + 1) // 2, q) == dn), None)
+            if k is None:
+                k = next((k for k in ks if matches((p ** k + 1) // 2)), None)
+            if k is not None:
+                preds.append(predict_pk1_half(p, n, k))
+        if p == 5 and matches((q - 3) // 2):
             preds.append(predict_5n_minus3_half(n))
 
     return preds

@@ -304,7 +304,6 @@ class FieldContext:
     """Immutable handle on a concrete GF(p^n).  Construct via build_context."""
 
     def __init__(self, spec: FieldSpec, modulus: tuple[int, ...]):
-        self.spec = FieldSpec(spec.p, spec.n, modulus)
         self.p = spec.p
         self.n = spec.n
         self.q = spec.p ** spec.n
@@ -591,15 +590,11 @@ class FieldContext:
         return f"FieldContext(GF({self.p}^{self.n}), modulus={self.modulus})"
 
 
-def build_context(
-    spec: FieldSpec,
-    *,
-    enum_cap: int = DEFAULT_ENUM_CAP,
-) -> FieldContext:
+def build_context(spec: FieldSpec) -> FieldContext:
     """Validate spec, select/verify the modulus, and build a FieldContext.
 
-    The field order may not exceed enum_cap, nor DEFAULT_ENUM_CAP whatever
-    enum_cap is: every context holds q-sized tables."""
+    The field order may not exceed DEFAULT_ENUM_CAP: every context holds
+    q-sized tables."""
     if spec.p < 2:
         raise NotPrime(f"p must be prime, got {spec.p}")
     if spec.n < 1:
@@ -607,9 +602,8 @@ def build_context(
     # The size cap comes before the primality test and before q - 1 is
     # factored, and 2^n > cap already once n reaches its bit length, so a
     # huge p or n is rejected at once.
-    cap = min(enum_cap, DEFAULT_ENUM_CAP)
-    if spec.n >= cap.bit_length() or spec.p ** spec.n > cap:
-        raise FieldTooLarge(f"q = {spec.p}^{spec.n} exceeds enumeration cap {cap}")
+    if spec.n >= DEFAULT_ENUM_CAP.bit_length() or spec.p ** spec.n > DEFAULT_ENUM_CAP:
+        raise FieldTooLarge(f"q = {spec.p}^{spec.n} exceeds enumeration cap {DEFAULT_ENUM_CAP}")
     if not is_prime(spec.p):
         raise NotPrime(f"p must be prime, got {spec.p}")
     if spec.modulus is None:

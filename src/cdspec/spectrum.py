@@ -34,6 +34,23 @@ def normalize_exponent(d: int, q: int) -> int:
     return q - 1 if r == 0 else r
 
 
+def cyclotomic_class(p: int, q: int, d: int) -> list[int]:
+    """The orbit of d under multiplication by p mod (q-1), ascending.
+
+    Residue 0 mod (q-1) stands for the exponent q-1 itself.  x^d and x^(pd)
+    have the same c-differential spectrum at every c.
+    """
+    order = q - 1
+    if order == 1:
+        return [1]
+    members = set()
+    cur = d % order
+    while (cur or order) not in members:
+        members.add(cur or order)
+        cur = (cur * p) % order
+    return sorted(members)
+
+
 @dataclass
 class PowerMapCase:
     """A power map x^d over a fixed field, differentiated with multiplier c."""

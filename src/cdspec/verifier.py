@@ -8,18 +8,14 @@ from typing import Iterator, Optional
 
 from .closed_forms import SpectrumPrediction, dispatch
 from .errors import BudgetExceeded
-from .field import (
-    DEFAULT_ENUM_CAP,
-    FieldContext,
-    FieldSpec,
-    build_context,
-)
+from .field import FieldContext, FieldSpec, build_context
 from .spectrum import (
     DEFAULT_N4_BUDGET,
     CDiffSpectrum,
     PowerMapCase,
     c_spectrum,
     check_identities,
+    cyclotomic_class,  # public here as well
     n4_bruteforce,
 )
 
@@ -133,9 +129,8 @@ def verify_case(
     *,
     modulus: Optional[tuple[int, ...]] = None,
     n4_budget: int = DEFAULT_N4_BUDGET,
-    enum_cap: int = DEFAULT_ENUM_CAP,
 ) -> VerifyReport:
-    ctx = build_context(FieldSpec(p, n, modulus), enum_cap=enum_cap)
+    ctx = build_context(FieldSpec(p, n, modulus))
     return verify_with_context(ctx, d, c, n4_budget=n4_budget)
 
 
@@ -156,11 +151,11 @@ class SweepResult:
         }
 
 
-def sweep_c(ctx: FieldContext, d: int, *, n4_budget: int = 0) -> SweepResult:
+def sweep_c(ctx: FieldContext, d: int, *, n4_budget: int = DEFAULT_N4_BUDGET) -> SweepResult:
     """One verify report per c in GF(q) except c = 1.
 
-    The quadruple-count check defaults off here (it multiplies the sweep cost
-    by q); pass n4_budget to enable it.
+    The quadruple count runs for every c when q fits n4_budget, which
+    multiplies the sweep cost by q; n4_budget=0 skips it.
     """
     reports = []
     for c in range(ctx.q):
@@ -183,38 +178,32 @@ def sweep_c(ctx: FieldContext, d: int, *, n4_budget: int = 0) -> SweepResult:
     )
 
 
-def cyclotomic_class(p: int, q: int, d: int) -> list[int]:
-    """The orbit of d under multiplication by p mod (q-1), ascending.
+def cyclotomic_classes(p: int, q: int) -> Iterator[list[int]]:
+    """Each orbit {d * p^i mod (q-1)} over d in [1, q-1] once, as its
+    ascending members, in order of the smallest member.
 
     Residue 0 mod (q-1) stands for the exponent q-1 itself.
     """
     order = q - 1
     if order == 1:
-        return [1]
-    members = set()
-    cur = d % order
-    while (cur or order) not in members:
-        members.add(cur or order)
-        cur = (cur * p) % order
-    return sorted(members)
+        yield [1]
+        return
+    seen = bytearray(order)
+    for d in range(1, q):
+        cur = d % order
+        if seen[cur]:
+            continue
+        members = []
+        while not seen[cur]:
+            seen[cur] = 1
+            members.append(cur or order)
+            cur = (cur * p) % order
+        yield sorted(members)
 
 
 def cyclotomic_representatives(p: int, q: int) -> Iterator[int]:
     """Smallest member of each orbit {d * p^i mod (q-1)} over d in [1, q-1]."""
-    order = q - 1
-    if order == 1:
-        yield 1
-        return
-    seen = bytearray(order)
-    for d in range(1, q):
-        r = d % order
-        if seen[r]:
-            continue
-        cur = r
-        while not seen[cur]:
-            seen[cur] = 1
-            cur = (cur * p) % order
-        yield d
+    return (members[0] for members in cyclotomic_classes(p, q))
 
 
 @dataclass
@@ -243,13 +232,13 @@ def scan_exponents(ctx: FieldContext, c: int, max_uniformity: int) -> ScanResult
     """All cyclotomic-class representatives d whose uniformity stays under
     the threshold, with their spectra."""
     rows = []
-    for d in cyclotomic_representatives(ctx.p, ctx.q):
-        spec = c_spectrum(PowerMapCase(ctx, d, c))
+    for members in cyclotomic_classes(ctx.p, ctx.q):
+        spec = c_spectrum(PowerMapCase(ctx, members[0], c))
         if spec.uniformity <= max_uniformity:
             rows.append(
                 {
-                    "d": d,
-                    "class": cyclotomic_class(ctx.p, ctx.q, d),
+                    "d": members[0],
+                    "class": members,
                     "uniformity": spec.uniformity,
                     "omega": {str(i): w for i, w in sorted(spec.omega.items())},
                 }

@@ -5,7 +5,16 @@ import time
 
 import pytest
 
-from cdspec.cli import EXIT_BUDGET, EXIT_INCONSISTENT, EXIT_OK, EXIT_USAGE, GAMMA_MAX_N, main
+from cdspec import gamma_5n_closed, sweep_c
+from cdspec.cli import (
+    EXIT_BUDGET,
+    EXIT_INCONSISTENT,
+    EXIT_OK,
+    EXIT_USAGE,
+    GAMMA_MAX_N,
+    main,
+    to_json,
+)
 
 from conftest import get_ctx
 
@@ -47,21 +56,13 @@ def test_spectrum_rejects_nonprime(capsys):
     assert "prime" in err
 
 
-def test_spectrum_budget_exit(capsys):
-    code, _, err = run_cli(
-        capsys, "spectrum", "--field", "2^12", "--d", "3", "--c", "0",
-        "--budget-q", "1024",
-    )
-    assert code == EXIT_BUDGET
-
-
 _REJECTED_FIELDS = [
     ("1000000000000000003^1", (), EXIT_BUDGET),  # p alone exceeds the cap
     ("3^300000000", (), EXIT_BUDGET),
     ("2^", (), EXIT_USAGE),
-    # --budget-q cannot lift the 2^22 ceiling; q - 1 = 2 * prime here, so
-    # factoring it by trial division would take far longer than the bound
-    ("1000000000000007243^1", ("--budget-q", "10000000000000000000"), EXIT_BUDGET),
+    # q - 1 = 2 * prime here, so factoring it by trial division would take
+    # far longer than the bound
+    ("1000000000000007243^1", (), EXIT_BUDGET),
 ]
 
 
@@ -130,6 +131,21 @@ def test_verify_inconsistent_exit3(capsys):
     assert payload["computed"]["omega"]["0"] == 50
 
 
+def test_verify_matches_class_members_of_named_exponents(capsys):
+    # 77 is in the inverse map's class over GF(81) (79 * 3 = 77 mod 80), and
+    # 26 in the class of 78 = 81 - 3 (26 * 3 = 78)
+    code, out, _ = run_cli(
+        capsys, "verify", "--field", "3^4", "--d", "77", "--c", "e:5", "--format", "json"
+    )
+    assert code == EXIT_OK
+    assert json.loads(out)["matched"] == "INV_ODD"
+    code, out, _ = run_cli(
+        capsys, "verify", "--field", "3^4", "--d", "26", "--c", "-1", "--format", "json"
+    )
+    assert code == EXIT_INCONSISTENT
+    assert json.loads(out)["verdict"] == "PREDICTOR_INCONSISTENT"
+
+
 def test_verify_char2_witness(capsys):
     ctx = get_ctx(2, 4)
     c = next(x for x in range(2, 16) if ctx.trace(x) == 1 and ctx.trace(ctx.inv(x)) == 1)
@@ -183,6 +199,19 @@ def test_sweep_inverse_char2(capsys):
     assert payload["tallies"]["NO_PREDICTOR"] == 1  # c = 0
 
 
+def test_sweep_n4_default_is_the_library_default(capsys):
+    # q <= 625: the quadruple count runs for every c unless --budget-n4 0
+    code, out, _ = run_cli(capsys, "sweep", "--field", "5^2", "--d", "inv", "--format", "json")
+    assert code == EXIT_OK
+    assert out == to_json(sweep_c(get_ctx(5, 2), 23).as_dict())
+    assert all(r["n4"] is not None and r["eq2"] for r in json.loads(out)["reports"])
+    code, out, _ = run_cli(capsys, "sweep", "--field", "5^2", "--d", "inv",
+                           "--budget-n4", "0", "--format", "json")
+    assert code == EXIT_OK
+    assert out == to_json(sweep_c(get_ctx(5, 2), 23, n4_budget=0).as_dict())
+    assert all(r["n4"] is None and r["eq2"] is None for r in json.loads(out)["reports"])
+
+
 def test_scan_gf25(capsys):
     code, out, _ = run_cli(
         capsys, "scan", "--field", "5^2", "--c", "-1", "--max-uniformity", "2",
@@ -207,13 +236,14 @@ def test_gamma_n3(capsys):
 
 
 def test_gamma_budget_above_table_ceiling_skips_direct(capsys):
-    # 5^10 fits the budget but not the 2^22 table ceiling: closed form only.
-    code, out, _ = run_cli(capsys, "gamma", "--n", "10", "--budget-q", "10000000",
-                           "--format", "json")
+    # 5^10 is above the 2^22 table ceiling: closed form only.  5^9 is below.
+    code, out, _ = run_cli(capsys, "gamma", "--n", "10", "--format", "json")
     assert code == EXIT_OK
     assert '"direct":null' in out
-    assert json.loads(out)["closed"] == json.loads(
-        run_cli(capsys, "gamma", "--n", "10", "--format", "json")[1])["closed"]
+    assert json.loads(out)["closed"] == gamma_5n_closed(10)
+    code, out, _ = run_cli(capsys, "gamma", "--n", "9", "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out)["equal"] is True
 
 
 @pytest.mark.parametrize("n", [13000, 20000])
@@ -268,6 +298,11 @@ def test_usage_error_on_unknown_command(capsys):
 
 # Each subcommand accepts only the flags it reads.
 _UNREAD_FLAGS = [
+    (("spectrum", "--field", "5^1", "--d", "3", "--c", "-1"), ("--budget-q", "125")),
+    (("verify", "--field", "5^1", "--d", "3", "--c", "-1"), ("--budget-q", "125")),
+    (("sweep", "--field", "5^1", "--d", "3"), ("--budget-q", "125")),
+    (("scan", "--field", "5^1", "--c", "-1", "--max-uniformity", "2"), ("--budget-q", "125")),
+    (("gamma", "--n", "2"), ("--budget-q", "125")),
     (("spectrum", "--field", "5^1", "--d", "3", "--c", "-1"), ("--budget-n4", "125")),
     (("spectrum", "--field", "5^1", "--d", "3", "--c", "-1"), ("--seed", "1")),
     (("verify", "--field", "5^1", "--d", "3", "--c", "-1"), ("--seed", "1")),

@@ -1,22 +1,29 @@
+import math
+
 import pytest
 
 from cdspec import (
     BudgetExceeded,
     find_irreducible,
     fuzz_identities,
+    normalize_exponent,
     scan_exponents,
     sweep_c,
     verify_case,
+    verify_with_context,
 )
+from cdspec.closed_forms import TheoremId
 from cdspec.verifier import (
     MATCH,
     NO_PREDICTOR,
     PREDICTOR_INCONSISTENT,
     SplitMix64,
+    cyclotomic_class,
+    cyclotomic_classes,
     cyclotomic_representatives,
 )
 
-from conftest import get_ctx
+from conftest import get_ctx, is_prime_trial
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +98,67 @@ def test_verify_match_invariant_under_modulus_change():
 
 def test_verify_budget_error():
     with pytest.raises(BudgetExceeded):
-        verify_case(2, 12, 5, 0, enum_cap=1024)
+        verify_case(2, 23, 5, 0)
+
+
+def _named_exponents(p, n):
+    """inv, plus3half, minus3, minus3half and pk1half for every k <= 2n."""
+    q = p ** n
+    named = [q - 2, (q + 3) // 2, q - 3, (q - 3) // 2]
+    named += [(p ** k + 1) // 2 for k in range(1, 2 * n + 1)]
+    return sorted({normalize_exponent(e, q) for e in named if e >= 1})
+
+
+def _pk1_k(report):
+    return next((dict(pr.conditions)["k"] for pr in report.predictions
+                 if pr.theorem in (TheoremId.PK1_HALF_1MOD4, TheoremId.PK1_HALF_3MOD4)), None)
+
+
+def _without_k(report):
+    out = []
+    for pr in report.predictions:
+        entry = pr.as_dict()
+        entry["conditions"] = [kv for kv in entry["conditions"] if kv[0] != "k"]
+        out.append(entry)
+    return out
+
+
+def test_dispatch_sees_whole_cyclotomic_classes():
+    # x^d and x^(pd) have the same spectrum at every c, so each member of a
+    # named exponent's class gets that exponent's verdict and predictions:
+    # the inverse map at every c, the c = -1 families at c = -1.
+    fields = [(p, n) for p in range(2, 128) if is_prime_trial(p)
+              for n in range(2, 8) if p ** n <= 128]
+    for p, n in fields:
+        ctx = get_ctx(p, n)
+        q = ctx.q
+        ks = [k for k in range(1, 2 * n + 1, 2) if math.gcd(n, k) == 1]
+        for e in _named_exponents(p, n):
+            cs = range(q) if e == q - 2 else [ctx.neg_one]
+            for c in (c for c in cs if c != 1):
+                canon = verify_with_context(ctx, e, c, n4_budget=0)
+                for m in cyclotomic_class(p, q, e):
+                    r = verify_with_context(ctx, m, c, n4_budget=0)
+                    key = (p, n, e, m, c)
+                    assert r.computed.omega == canon.computed.omega, key
+                    assert r.verdict == canon.verdict, key
+                    assert r.matched_theorem == canon.matched_theorem, key
+                    assert _without_k(r) == _without_k(canon), key
+                    # pk1half records a k matching d by residue when one exists
+                    by_residue = [k for k in ks
+                                  if normalize_exponent((p ** k + 1) // 2, q) == m]
+                    if by_residue and _pk1_k(r) is not None:
+                        assert _pk1_k(r) == by_residue[0], key
+
+
+def test_dispatch_class_member_pins():
+    # 77 = 79 * 3 mod 80: the inverse map's class over GF(81)
+    for d in (79, 77, 71, 53):
+        r = verify_case(3, 4, d, 5, n4_budget=0)
+        assert (r.verdict, r.matched_theorem) == (MATCH, "INV_ODD"), d
+    # {3, 15} over GF(25): 15 = (5^3+1)/2 mod 24 by residue, 3 = (5+1)/2
+    assert _pk1_k(verify_case(5, 2, 15, 4)) == 3
+    assert _pk1_k(verify_case(5, 2, 3, 4)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +213,14 @@ def test_cyclotomic_representatives_dedup():
         assert not (orbit & seen)
         seen |= orbit
     assert seen == set(range(1, 25))
+
+
+def test_cyclotomic_classes_partition_the_exponents():
+    for p, q in ((2, 2), (2, 16), (3, 27), (5, 25), (7, 49)):
+        classes = list(cyclotomic_classes(p, q))
+        assert [m[0] for m in classes] == list(cyclotomic_representatives(p, q))
+        assert all(m == cyclotomic_class(p, q, m[0]) for m in classes)
+        assert sorted(d for m in classes for d in m) == list(range(1, q))
 
 
 def test_scan_gf25_includes_table_rows():
