@@ -312,9 +312,12 @@ class FieldContext:
         self._mod_list = list(modulus)
         cpow = self._companion_powers()
         self.generator = self._find_generator(cpow)
-        # One (d, x^d table) slot, rebound in a single assignment so that
-        # concurrent readers see either the old or the new pair, never a mix.
+        # One (d, x^d table) slot and one (d, log tables of pow_log_ratio)
+        # slot, each rebound in a single assignment so that concurrent
+        # readers see either the old or the new tuple, never a mix.
         self._pow_cache: tuple[int, Optional[np.ndarray]] = (0, None)
+        self._log_ratio_cache: tuple[int, Optional[np.ndarray], Optional[np.ndarray]] = (
+            0, None, None)
         self._build_tables(cpow)
 
     # -- construction internals ------------------------------------------
@@ -585,6 +588,22 @@ class FieldContext:
         t[self.exp] = self.exp[(idx * d) % order]
         self._pow_cache = (d, _frozen(t))
         return t
+
+    def pow_log_ratio(self, d: int) -> tuple[np.ndarray, np.ndarray]:
+        """(lu, ratio) for every x, read-only: lu = log (x+1)^d and
+        ratio = log(x^d / (x+1)^d) mod (q-1), all in [0, q-1).  The entries
+        at x = 0 and x = -1, where x^d or (x+1)^d is 0, are meaningless;
+        d must be in [1, q-1]."""
+        cached_d, lu, ratio = self._log_ratio_cache
+        if cached_d == d:
+            return lu, ratio
+        lv = self.log[self.pow_table(d)]
+        lv[0] = 0  # keeps every entry of lu and ratio in [0, q-1)
+        lu = lv[self.succ]
+        ratio = lv - lu
+        ratio += (ratio < 0) * (self.q - 1)  # mod q-1, without a division pass
+        self._log_ratio_cache = (d, _frozen(lu), _frozen(ratio))
+        return lu, ratio
 
     def __repr__(self) -> str:
         return f"FieldContext(GF({self.p}^{self.n}), modulus={self.modulus})"

@@ -68,21 +68,28 @@ class PowerMapCase:
     def delta_values(self) -> np.ndarray:
         """Delta_c(x) for every x, as an encoding array."""
         ctx = self.ctx
-        powd = ctx.pow_table(self.d)
         if ctx.p == 2 or self.c == 0:
+            powd = ctx.pow_table(self.d)
             shifted = powd[ctx.succ]  # (x+1)^d
             return ctx.vec_sub(shifted, ctx.vec_scale(powd, self.c))
         # Log domain: with u = (x+1)^d and v = x^d, u - c*v = u*(1 + (-c)*v/u),
-        # so log Delta = log u + Z(log v + log(-c) - log u).
+        # so log Delta = log u + Z(log(v/u) + log(-c)).  log u and log(v/u)
+        # depend on d alone; the context keeps them for the last d.
         order = ctx.q - 1
-        lv = ctx.log[powd]
-        lu = lv[ctx.succ]
-        log_neg_c = int(ctx.log[self.c]) + order // 2
-        z = ctx.zech[(lv + log_neg_c - lu) % order]
-        out = ctx.exp[(lu + z) % order]
-        out[z < 0] = 0  # u = c*v
+        lu, ratio = ctx.pow_log_ratio(self.d)
+        log_neg_c = (int(ctx.log[self.c]) + order // 2) % order
+        # Both gathers index in [-(q-1), q-1), where a negative index wraps
+        # around, so no pass reduces mod q-1.
+        t = ratio + (log_neg_c - order)
+        z = ctx.zech[t]
+        zero = z < 0  # u = c*v, so Delta = 0
+        np.add(lu, z, out=t)
+        t -= order
+        t[zero] = 0  # lu + z - (q-1) may be -q there
+        out = ctx.exp[t]
+        out[zero] = 0
         out[0] = 1  # x = 0: Delta = 1^d
-        out[ctx.neg_one] = ctx.neg(ctx.mul(self.c, int(powd[ctx.neg_one])))  # x = -1: u = 0
+        out[ctx.neg_one] = ctx.neg(ctx.mul(self.c, ctx.pow(ctx.neg_one, self.d)))  # x = -1: u = 0
         return out
 
     def delta_histogram(self) -> np.ndarray:

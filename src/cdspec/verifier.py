@@ -17,6 +17,7 @@ from .spectrum import (
     check_identities,
     cyclotomic_class,  # public here as well
     n4_bruteforce,
+    normalize_exponent,
 )
 
 MATCH = "MATCH"
@@ -152,16 +153,42 @@ class SweepResult:
 
 
 def sweep_c(ctx: FieldContext, d: int, *, n4_budget: int = DEFAULT_N4_BUDGET) -> SweepResult:
-    """One verify report per c in GF(q) except c = 1.
+    """One verify report per c in GF(q) except c = 1, in ascending c.
 
-    The quadruple count runs for every c when q fits n4_budget, which
-    multiplies the sweep cost by q; n4_budget=0 skips it.
+    The spectrum, the quadruple count, the identities and the predictions
+    are computed once per Frobenius orbit {c, c^p, c^(p^2), ...} and copied
+    to every member.  The result is the same as verifying each c: the
+    bijection x -> x^p maps Delta_c(x) = b to Delta_{c^p}(x^p) = b^p, and
+    the quadruples of (d, c) to those of (d, c^p), so omega and N4 agree
+    on the orbit.  The dispatcher reads c only through Tr(c), Tr(1/c),
+    chi of c^2 - 4c, 1 - 4c and c, and equality with the prime-field
+    constants 0, 1, 4, 1/4 and -1, all fixed by x -> x^p.
+
+    The quadruple count runs once per orbit when q fits n4_budget, which
+    multiplies the sweep cost by about q; n4_budget=0 skips it.
     """
-    reports = []
-    for c in range(ctx.q):
-        if c == 1:
-            continue
-        reports.append(verify_with_context(ctx, d, c, n4_budget=n4_budget))
+    d = normalize_exponent(d, ctx.q)
+    order = ctx.q - 1
+    # c = 0 is its own orbit; c = g^m runs over the class of m under
+    # m -> p*m mod (q-1), whose residue 0 (the member q - 1) is c = 1.
+    orbits = [[0]] + [
+        [int(ctx.exp[m % order]) for m in members]
+        for members in cyclotomic_classes(ctx.p, ctx.q)
+        if members != [order]
+    ]
+    by_c: list[Optional[VerifyReport]] = [None] * ctx.q
+    for orbit in orbits:
+        rep = verify_with_context(ctx, d, orbit[0], n4_budget=n4_budget)
+        spec = rep.computed
+        for c in orbit:
+            by_c[c] = VerifyReport(
+                p=rep.p, n=rep.n, modulus=rep.modulus, d=d, c=c,
+                computed=CDiffSpectrum(q=spec.q, d=d, c=c, uniformity=spec.uniformity,
+                                       omega=dict(spec.omega)),
+                predictions=list(rep.predictions), n4=rep.n4, eq1_ok=rep.eq1_ok,
+                eq2_ok=rep.eq2_ok, verdict=rep.verdict, matched_theorem=rep.matched_theorem,
+            )
+    reports = [r for r in by_c if r is not None]
     tallies = {
         "pcn": sum(1 for r in reports if r.computed.uniformity == 1),
         "apcn": sum(1 for r in reports if r.computed.uniformity == 2),
@@ -173,8 +200,7 @@ def sweep_c(ctx: FieldContext, d: int, *, n4_budget: int = DEFAULT_N4_BUDGET) ->
         ),
     }
     return SweepResult(
-        p=ctx.p, n=ctx.n, modulus=ctx.modulus, d=reports[0].d if reports else d,
-        reports=reports, tallies=tallies,
+        p=ctx.p, n=ctx.n, modulus=ctx.modulus, d=d, reports=reports, tallies=tallies,
     )
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from cdspec import (
     CharTwoUnsupported,
+    PowerMapCase,
     DivisionByZero,
     FieldSpec,
     FieldTooLarge,
@@ -211,6 +212,49 @@ def test_pow_table_threads_and_single_slot():
     assert ctx.pow_table(7) is ctx.pow_table(7)
 
 
+def test_pow_log_ratio_threads_and_single_slot():
+    """Threads alternating two exponents on one odd field never read lu of
+    one d with ratio of another, nor either of them with the wrong d."""
+    # A small field makes each slot update cheap, so updates are frequent.
+    ctx = build_context(FieldSpec(3, 3))
+    order = ctx.q - 1
+    x = ctx.generator  # x and x + 1 are nonzero, so both logs are defined
+    lx, lx1 = int(ctx.log[x]), int(ctx.log[ctx.add(x, 1)])
+    ds = (order - 1, 7, 2, 13)
+    expected = {d: (d * lx1 % order, d * (lx - lx1) % order) for d in ds}
+    c = ctx.neg_one
+    delta = {d: ctx.sub(ctx.pow(ctx.add(x, 1), d), ctx.mul(c, ctx.pow(x, d))) for d in ds}
+    errors = []
+
+    def worker(offset):
+        pair = ds[2 * (offset % 2):][:2]
+        try:
+            for i in range(2000):
+                d = pair[(offset + i) % 2]  # d1, d2, d1, ...
+                lu, ratio = ctx.pow_log_ratio(d)
+                if (int(lu[x]), int(ratio[x])) != expected[d]:
+                    errors.append(d)
+                if i % 8 == 0 and PowerMapCase(ctx, d, c).delta_values()[x] != delta[d]:
+                    errors.append(("delta", d))
+        except Exception as exc:  # reported through errors, asserted below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    try:
+        for interval in (5e-6, 1e-5, 2e-5):
+            sys.setswitchinterval(interval)
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(old)
+    assert errors == []
+    assert ctx.pow_log_ratio(7)[0] is ctx.pow_log_ratio(7)[0]
+
+
 def test_inverse_of_zero():
     with pytest.raises(DivisionByZero):
         get_ctx(5, 1).inv(0)
@@ -247,6 +291,12 @@ def test_tables_are_read_only():
         cubes[1] = 0
     assert ctx.pow_table(3) is cubes
     assert int(cubes[2]) == ctx.pow(2, 3)
+    lu, ratio = ctx.pow_log_ratio(3)
+    for arr in (lu, ratio):
+        with pytest.raises(ValueError):
+            arr[1] = 0
+    assert ctx.pow_log_ratio(3)[0] is lu and ctx.pow_log_ratio(3)[1] is ratio
+    assert int(lu[4]) == int(ctx.log[ctx.pow(ctx.add(4, 1), 3)])  # 4 is not 0 or -1
 
 
 # ---------------------------------------------------------------------------

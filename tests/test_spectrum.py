@@ -6,7 +6,9 @@ import pytest
 
 from cdspec import (
     BudgetExceeded,
+    FieldSpec,
     PowerMapCase,
+    build_context,
     c_ddt_entry,
     c_delta,
     c_spectrum,
@@ -241,6 +243,21 @@ def test_log_domain_delta_values_sampled_c():
         q = ctx.q
         for d in (q - 2, 3, (q - 1) // 2):
             _assert_delta_matches_scalar(ctx, d, [1, ctx.neg_one, 2 + rng.below(q - 2)])
+
+
+def test_delta_values_interleaved_exponents_match_fresh_context():
+    """The context keeps log tables for the last d: alternating exponents,
+    and the c = 0 path between them, give what a fresh context gives."""
+    rng = SplitMix64(43)
+    for p, n in ((3, 5), (5, 3), (7, 2)):
+        ctx = build_context(FieldSpec(p, n))
+        q = ctx.q
+        d1, d2 = q - 2, (q - 1) // 2
+        for d in (d1, d2, d1, d1, d2, d2, d1, d2):
+            for c in (ctx.neg_one, 0, 2 + rng.below(q - 2)):
+                fresh = build_context(FieldSpec(p, n))
+                assert np.array_equal(PowerMapCase(ctx, d, c).delta_values(),
+                                      PowerMapCase(fresh, d, c).delta_values()), (p, n, d, c)
 
 
 @pytest.mark.parametrize("block", [spectrum._N4_BLOCK, 64])

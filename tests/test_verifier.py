@@ -15,15 +15,17 @@ from cdspec import (
 from cdspec.closed_forms import TheoremId
 from cdspec.verifier import (
     MATCH,
+    MISMATCH,
     NO_PREDICTOR,
     PREDICTOR_INCONSISTENT,
     SplitMix64,
+    SweepResult,
     cyclotomic_class,
     cyclotomic_classes,
     cyclotomic_representatives,
 )
 
-from conftest import get_ctx, is_prime_trial
+from conftest import get_ctx, is_prime_trial, odd_fields
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +196,81 @@ def test_sweep_p3_plus3_other_c_no_predictor():
     for c, r in by_c.items():
         if c != 2:
             assert r.verdict == NO_PREDICTOR
+
+
+def _sweep_per_c(ctx, d, n4_budget):
+    """Reference sweep: verify_with_context on every c except 1, one by one."""
+    reports = [verify_with_context(ctx, d, c, n4_budget=n4_budget)
+               for c in range(ctx.q) if c != 1]
+    tallies = {
+        "pcn": sum(1 for r in reports if r.computed.uniformity == 1),
+        "apcn": sum(1 for r in reports if r.computed.uniformity == 2),
+        MATCH: sum(1 for r in reports if r.verdict == MATCH),
+        MISMATCH: sum(1 for r in reports if r.verdict == MISMATCH),
+        NO_PREDICTOR: sum(1 for r in reports if r.verdict == NO_PREDICTOR),
+        PREDICTOR_INCONSISTENT: sum(
+            1 for r in reports if r.verdict == PREDICTOR_INCONSISTENT
+        ),
+    }
+    return SweepResult(p=ctx.p, n=ctx.n, modulus=ctx.modulus,
+                       d=normalize_exponent(d, ctx.q), reports=reports, tallies=tallies)
+
+
+def _assert_orbit_sweep_matches(ctx, d, n4_budget):
+    expected = _sweep_per_c(ctx, d, n4_budget).as_dict()
+    assert sweep_c(ctx, d, n4_budget=n4_budget).as_dict() == expected, (ctx, d, n4_budget)
+
+
+_SWEEP_FIELDS = [(2, n) for n in range(1, 10)] + odd_fields(0, 729)
+
+
+@pytest.mark.parametrize("p,n", _SWEEP_FIELDS, ids=[f"{p}^{n}" for p, n in _SWEEP_FIELDS])
+def test_orbit_sweep_matches_per_c_sweep(p, n):
+    """sweep_c shares one verify per Frobenius orbit of c; the per-c loop
+    must give the same document, GF(2) and GF(3) included."""
+    ctx = get_ctx(p, n)
+    q = ctx.q
+    # q - 1 has a prime factor r, so d = r has gcd(d, q - 1) > 1 (q > 2)
+    r = next((f for f in range(2, q) if (q - 1) % f == 0), 1)
+    for d in sorted({max(q - 2, 1), 1, q - 1, r}):
+        _assert_orbit_sweep_matches(ctx, d, 0)
+        if q <= 81:
+            _assert_orbit_sweep_matches(ctx, d, 625)
+
+
+@pytest.mark.parametrize("p,n,seed", [(3, 8, 11), (2, 12, 12)])
+def test_orbit_sweep_matches_per_c_sweep_seeded_d(p, n, seed):
+    ctx = get_ctx(p, n)
+    d = 1 + SplitMix64(seed).below(ctx.q - 1)
+    _assert_orbit_sweep_matches(ctx, d, 0)
+
+
+def test_sweep_reports_share_no_mutable_state():
+    ctx = get_ctx(3, 4)
+    result = sweep_c(ctx, ctx.q - 2, n4_budget=0)
+    by_c = {r.c: r for r in result.reports}
+    x = 3  # the element X, digits (0, 1)
+    orbit = [ctx.pow(x, 3 ** i) for i in range(4)]  # X, X^3, X^9, X^27
+    assert len(set(orbit)) == 4
+    first = by_c[orbit[0]]
+    for c in orbit[1:]:
+        other = by_c[c]
+        assert other.as_dict()["computed"]["omega"] == first.as_dict()["computed"]["omega"]
+        assert other.predictions == first.predictions
+        assert other.predictions is not first.predictions
+        assert other.computed is not first.computed
+        assert other.computed.omega is not first.computed.omega
+    first.predictions.clear()
+    first.computed.omega.clear()
+    assert by_c[orbit[1]].predictions and by_c[orbit[1]].computed.omega
+
+
+def test_sweep_reports_the_reduced_exponent():
+    result = sweep_c(get_ctx(3, 2), 6 + 8, n4_budget=0)
+    assert result.d == 6 and {r.d for r in result.reports} == {6}
+    assert sweep_c(get_ctx(2, 1), 5).d == 1
+    with pytest.raises(ValueError):
+        sweep_c(get_ctx(3, 2), 0)
 
 
 # ---------------------------------------------------------------------------
