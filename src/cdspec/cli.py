@@ -24,7 +24,7 @@ from .field import (
     gamma_5n_direct,
     parse_field_spec,
 )
-from .spectrum import DEFAULT_N4_BUDGET, PowerMapCase, c_spectrum, c_uniformity
+from .spectrum import DEFAULT_N4_BUDGET, PowerMapCase, c_spectrum, uniformity_label
 
 EXIT_OK = 0
 EXIT_MISMATCH = 2
@@ -81,8 +81,9 @@ def parse_c(ctx: FieldContext, text: str) -> int:
 
 def parse_d(ctx: FieldContext, text: str, k: Optional[int]) -> int:
     """d syntax: a positive integer, or a named exponent:
-    inv = q-2, pk1half = (p^k+1)/2 (needs --k), plus3half = (p^n+3)/2,
-    minus3 = p^n-3, minus3half = (p^n-3)/2."""
+    inv = q-2, pk1half = (p^k+1)/2 (needs --k >= 1; reduced mod q-1, where
+    x^d depends only on d), plus3half = (p^n+3)/2, minus3 = p^n-3,
+    minus3half = (p^n-3)/2."""
     text = text.strip()
     named = {
         "inv": ctx.q - 2,
@@ -95,7 +96,10 @@ def parse_d(ctx: FieldContext, text: str, k: Optional[int]) -> int:
     if text == "pk1half":
         if k is None:
             raise ParseError("--d pk1half requires --k")
-        return (ctx.p ** k + 1) // 2
+        if k < 1:
+            raise ParseError(f"--k must be >= 1, got {k}")
+        # p^k mod 2(q-1) keeps p^k's parity, so halving it keeps the residue
+        return (pow(ctx.p, k, 2 * (ctx.q - 1)) + 1) // 2 or ctx.q - 1
     try:
         d = int(text)
     except ValueError as exc:
@@ -126,11 +130,14 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 
 
 def _emit(args, text: str) -> None:
-    if args.out:
+    if not args.out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write --out {args.out!r}: {exc.strerror or exc}") from exc
 
 
 def _omega_json(omega: dict[int, int]) -> str:
@@ -178,7 +185,7 @@ def cmd_spectrum(args) -> int:
     c = parse_c(ctx, args.c)
     case = PowerMapCase(ctx, d, c)
     spec = c_spectrum(case)
-    u, label = c_uniformity(case)
+    u, label = spec.uniformity, uniformity_label(spec.uniformity)
     payload = {
         "field": {"p": ctx.p, "n": ctx.n, "modulus": list(ctx.modulus)},
         "d": case.d,

@@ -279,24 +279,20 @@ def dispatch(ctx: FieldContext, d: int, c: int) -> list[SpectrumPrediction]:
     """Every closed-form prediction whose hypotheses hold at (p, n, d, c).
 
     d matches a family exponent in its cyclotomic class, since x^d and
-    x^(pd) have the same spectrum at every c.  Residues modulo q - 1 are
-    compared first; the class of d is walked only when that fails, at most
-    once per call.  An empty list means the case is brute-force only.
+    x^(pd) have the same spectrum at every c.  An empty list means the case
+    is brute-force only.
     """
     p, n, q = ctx.p, ctx.n, ctx.q
     dn = normalize_exponent(d, q)
-    members: set[int] = set()  # the class of d, once walked
+    members = set(cyclotomic_class(p, q, dn))
 
     def matches(e: int) -> bool:
-        e = normalize_exponent(e, q)
-        if e != dn and not members:
-            members.update(cyclotomic_class(p, q, dn))
-        return e == dn or e in members
+        return normalize_exponent(e, q) in members
 
     preds: list[SpectrumPrediction] = []
 
-    # inverse function rows: d = q - 2
-    if q >= 3 and c not in (0, 1) and (dn == q - 2 or matches(q - 2)):
+    # inverse function rows: d = q - 2 (c outside {0, 1} implies q >= 3)
+    if c not in (0, 1) and matches(q - 2):
         if p == 2:
             preds.append(
                 predict_inverse_char2(n, ctx.trace(c), ctx.trace(ctx.inv(c)))

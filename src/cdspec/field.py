@@ -52,33 +52,10 @@ _UNPACK_BITS = 12  # packed bits per unpacking lookup (4096-entry tables)
 # Integer helpers
 # ---------------------------------------------------------------------------
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
 def is_prime(m: int) -> bool:
-    """Miller-Rabin with the prime bases up to 37: exact for every
-    m < 3.18 * 10^23 (Sorenson and Webster, 2017), a strong probable-prime
-    test beyond."""
-    if m < 2:
-        return False
-    for b in _MR_BASES:
-        if m % b == 0:
-            return m == b
-    d, s = m - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for b in _MR_BASES:
-        x = pow(b, d, m)
-        if x == 1 or x == m - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % m
-            if x == m - 1:
-                break
-        else:
-            return False
-    return True
+    """Primality by trial division.  build_context rejects q > 2^22 before
+    it asks, so m <= 2^22 there and at most about 1,000 divisors are tried."""
+    return m >= 2 and prime_factors(m) == [m]
 
 
 def prime_factors(m: int) -> list[int]:
@@ -309,7 +286,6 @@ class FieldContext:
         self.q = spec.p ** spec.n
         self.modulus = modulus
         self.neg_one = 1 if self.p == 2 else self.p - 1
-        self._mod_list = list(modulus)
         cpow = self._companion_powers()
         self.generator = self._find_generator(cpow)
         # One (d, x^d table) slot and one (d, log tables of pow_log_ratio)
@@ -326,11 +302,11 @@ class FieldContext:
         """x^(n+t) mod modulus for t in [0, n-2], as digit rows (vec_mul_poly)."""
         p, n = self.p, self.n
         rows = []
-        cur = _pmod([0] * n + [1], self._mod_list, p)  # x^n mod f
+        cur = _pmod([0] * n + [1], self.modulus, p)  # x^n mod f
         for _ in range(max(n - 1, 0)):
             row = cur + [0] * (n - len(cur))
             rows.append(row[:n])
-            cur = _pmod([0] + cur, self._mod_list, p)  # multiply by x
+            cur = _pmod([0] + cur, self.modulus, p)  # multiply by x
         return rows
 
     # Multiplication by a fixed a is GF(p)-linear on digit vectors.  With
@@ -446,7 +422,7 @@ class FieldContext:
     def _mul_scalar(self, a: int, b: int) -> int:
         p, n = self.p, self.n
         prod = _pmul(decode_digits(a, p, n), decode_digits(b, p, n), p)
-        return encode_digits(_pmod(prod, self._mod_list, p), p)
+        return encode_digits(_pmod(prod, self.modulus, p), p)
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -568,8 +544,6 @@ class FieldContext:
         """c * arr elementwise."""
         if c == 0:
             return np.zeros_like(arr)
-        if c == 1:
-            return arr.copy()
         out = np.zeros_like(arr)
         nz = arr != 0
         out[nz] = self.exp[(self.log[arr[nz]] + self.log[c]) % (self.q - 1)]

@@ -28,8 +28,6 @@ def normalize_exponent(d: int, q: int) -> int:
     """Reduce d into [1, q-1]; x^d depends only on d mod (q-1) there."""
     if d <= 0:
         raise ValueError(f"exponent must be positive, got {d}")
-    if q == 2:
-        return 1
     r = d % (q - 1)
     return q - 1 if r == 0 else r
 
@@ -41,8 +39,6 @@ def cyclotomic_class(p: int, q: int, d: int) -> list[int]:
     have the same c-differential spectrum at every c.
     """
     order = q - 1
-    if order == 1:
-        return [1]
     members = set()
     cur = d % order
     while (cur or order) not in members:
@@ -168,16 +164,15 @@ def c_spectrum(case: PowerMapCase) -> CDiffSpectrum:
     return spec
 
 
+def uniformity_label(u: int) -> str:
+    """PcN/APcN classification of the c-differential uniformity u."""
+    return {1: "PcN", 2: "APcN"}.get(u, f"(c,{u})-uniform")
+
+
 def c_uniformity(case: PowerMapCase) -> tuple[int, str]:
     """Uniformity (max spectrum index) plus PcN/APcN classification."""
     u = c_spectrum(case).uniformity
-    if u == 1:
-        label = "PcN"
-    elif u == 2:
-        label = "APcN"
-    else:
-        label = f"(c,{u})-uniform"
-    return u, label
+    return u, uniformity_label(u)
 
 
 def n4_bruteforce(case: PowerMapCase, budget: int = DEFAULT_N4_BUDGET) -> int:

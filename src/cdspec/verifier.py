@@ -211,9 +211,6 @@ def cyclotomic_classes(p: int, q: int) -> Iterator[list[int]]:
     Residue 0 mod (q-1) stands for the exponent q-1 itself.
     """
     order = q - 1
-    if order == 1:
-        yield [1]
-        return
     seen = bytearray(order)
     for d in range(1, q):
         cur = d % order
@@ -307,6 +304,8 @@ class FuzzReport:
 def fuzz_identities(seed: int, count: int, budget: int = 343) -> FuzzReport:
     """Random (p, n, d, c != 1) cases with q <= budget; both spectrum
     identities are checked exactly, the second via the quadruple count."""
+    if count < 0:
+        raise ValueError(f"fuzz count must be >= 0, got {count}")
     if budget < 4:
         raise BudgetExceeded(f"fuzz budget must be at least 4, got {budget}")
     rng = SplitMix64(seed)

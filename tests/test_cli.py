@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from cdspec import gamma_5n_closed, sweep_c
+from cdspec import PowerMapCase, fuzz_identities, gamma_5n_closed, normalize_exponent, sweep_c
 from cdspec.cli import (
     EXIT_BUDGET,
     EXIT_INCONSISTENT,
@@ -13,10 +13,11 @@ from cdspec.cli import (
     EXIT_USAGE,
     GAMMA_MAX_N,
     main,
+    parse_d,
     to_json,
 )
 
-from conftest import get_ctx
+from conftest import get_ctx, is_prime_trial
 
 
 def run_cli(capsys, *argv):
@@ -88,12 +89,40 @@ def test_spectrum_pk1half_requires_k(capsys):
         capsys, "spectrum", "--field", "5^2", "--d", "pk1half", "--c", "-1"
     )
     assert code == EXIT_USAGE
+    for k in ("0", "-1"):
+        code, out, err = run_cli(
+            capsys, "spectrum", "--field", "5^2", "--d", "pk1half", "--k", k, "--c", "-1"
+        )
+        assert code == EXIT_USAGE and out == "" and "--k" in err
     code, out, _ = run_cli(
         capsys, "spectrum", "--field", "5^2", "--d", "pk1half", "--k", "1",
         "--c", "-1", "--format", "json",
     )
     assert code == EXIT_OK
     assert json.loads(out)["d"] == 3
+
+
+def test_pk1half_reports_the_reduced_exponent(capsys):
+    """--d pk1half is reduced mod q - 1 without forming p^k; the reported d
+    is that of (p^k + 1)/2 on every field with q <= 729 and every k <= 3n."""
+    fields = [(p, n) for p in range(2, 730) if is_prime_trial(p)
+              for n in range(1, 10) if p ** n <= 729]
+    for p, n in fields:
+        ctx = get_ctx(p, n)
+        for k in range(1, 3 * n + 1):
+            case = PowerMapCase(ctx, parse_d(ctx, "pk1half", k), 0)
+            assert case.d == normalize_exponent((p ** k + 1) // 2, ctx.q), (p, n, k)
+    code, out, _ = run_cli(capsys, "spectrum", "--field", "7^2", "--d", "pk1half",
+                           "--k", "5", "--c", "-1", "--format", "json")
+    assert code == EXIT_OK and json.loads(out)["d"] == normalize_exponent((7 ** 5 + 1) // 2, 49)
+
+
+def test_pk1half_huge_k_at_once(capsys):
+    started = time.perf_counter()
+    code, _, _ = run_cli(capsys, "verify", "--field", "3^2", "--d", "pk1half",
+                         "--k", "300000000", "--c", "-1")
+    assert code == EXIT_OK
+    assert time.perf_counter() - started < 2.0
 
 
 def test_c_parsing_forms(capsys):
@@ -290,6 +319,28 @@ def test_out_file(tmp_path, capsys):
     assert out == ""
     payload = json.loads(target.read_text(encoding="utf-8"))
     assert payload["omega"] == {"0": 2, "1": 1, "2": 2}
+
+
+def test_out_unwritable_is_a_usage_error(tmp_path, capsys):
+    for target in (tmp_path / "missing" / "x.json", tmp_path):  # no directory; a directory
+        code, out, err = run_cli(
+            capsys, "spectrum", "--field", "3^2", "--d", "inv", "--c", "2",
+            "--format", "json", "--out", str(target),
+        )
+        assert code == EXIT_USAGE
+        assert out == "" and str(target) in err
+    assert not (tmp_path / "missing").exists()
+
+
+def test_fuzz_rejects_negative_count(capsys):
+    with pytest.raises(ValueError):
+        fuzz_identities(seed=1, count=-3)
+    code, out, _ = run_cli(capsys, "fuzz", "--count", "-3", "--format", "json")
+    assert code == EXIT_USAGE
+    assert out == ""
+    code, out, _ = run_cli(capsys, "fuzz", "--count", "0", "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out)["passes"] == 0
 
 
 def test_usage_error_on_unknown_command(capsys):

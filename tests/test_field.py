@@ -25,7 +25,7 @@ from cdspec import (
     partition_by_chi,
     quadratic_solution_count,
 )
-from cdspec.field import is_prime
+from cdspec.field import DEFAULT_ENUM_CAP, is_prime
 from cdspec.verifier import SplitMix64
 
 from conftest import get_ctx, is_prime_trial, odd_fields
@@ -61,9 +61,11 @@ def test_not_prime_rejected():
 
 
 def test_is_prime_matches_trial_division():
-    assert [m for m in range(100_000) if is_prime(m)] == \
-        [m for m in range(100_000) if is_prime_trial(m)]
-    assert is_prime(2 ** 61 - 1) and not is_prime(3215031751)  # a strong pseudoprime to 2, 3, 5, 7
+    # build_context asks only for p <= 2^22, the field-size cap
+    for lo, hi in ((0, 100_000), (DEFAULT_ENUM_CAP - 5000, DEFAULT_ENUM_CAP + 1)):
+        assert [m for m in range(lo, hi) if is_prime(m)] == \
+            [m for m in range(lo, hi) if is_prime_trial(m)]
+    assert not is_prime(3215031751)  # a strong pseudoprime to 2, 3, 5, 7
 
 
 def test_reducible_modulus_rejected():
@@ -265,9 +267,11 @@ def test_tables_match_polynomial_arithmetic():
     for p, n in [(3, 3), (2, 5), (5, 2)]:
         ctx = get_ctx(p, n)
         q = ctx.q
+        X = np.arange(q, dtype=np.int64)
         for a in range(q):
-            for b in range(q):
-                assert ctx.mul(a, b) == ctx._mul_scalar(a, b)
+            row = [ctx._mul_scalar(a, b) for b in range(q)]
+            assert [ctx.mul(a, b) for b in range(q)] == row
+            assert ctx.vec_scale(X, a).tolist() == row  # a = 0 and a = 1 included
             if a:
                 assert ctx.inv(a) == ctx._pow_scalar(a, q - 2)
             for e in (0, 1, 2, p, q - 2, q - 1, q, 2 * q + 3):
