@@ -83,8 +83,11 @@ def parse_d(ctx: FieldContext, text: str, k: Optional[int]) -> int:
     """d syntax: a positive integer, or a named exponent:
     inv = q-2, pk1half = (p^k+1)/2 (needs --k >= 1; reduced mod q-1, where
     x^d depends only on d), plus3half = (p^n+3)/2, minus3 = p^n-3,
-    minus3half = (p^n-3)/2."""
+    minus3half = (p^n-3)/2.  k is read by pk1half alone; with any other d it
+    is a usage error, not silently ignored."""
     text = text.strip()
+    if k is not None and text != "pk1half":
+        raise ParseError(f"--k is read only with --d pk1half, not with --d {text!r}")
     named = {
         "inv": ctx.q - 2,
         "plus3half": (ctx.q + 3) // 2,
@@ -366,7 +369,7 @@ def _add_common(sub, *, field=True, d=False, c=False, n4=False, seed=False):
                          help='field as "p^n" or "p^n/c0,c1,...,cn"')
     if d:
         sub.add_argument("--d", required=True, help="exponent (integer or named form)")
-        sub.add_argument("--k", type=int, default=None, help="k for the pk1half exponent form")
+        sub.add_argument("--k", type=int, default=None, help="k for --d pk1half only")
     if c:
         sub.add_argument("--c", required=True, help='c value ("-1", integer, e:ENC, digits)')
     if n4:

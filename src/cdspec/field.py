@@ -17,9 +17,13 @@ for every prime factor of q - 1.  The antilog table is built by doubling,
 exp[m:2m] = g^m * exp[:m], each block mapped through two lookup tables of
 about sqrt(q) entries (low and high halves of the digits) and one
 digit-wise add.  The absolute trace is the matrix trace of x -> a*x, so
-Tr(x) = sum_i x_i Tr(X^i) mod p over the n basis traces.  The polynomial
-routines (vec_mul_poly, _mul_scalar, _pow_scalar) and the digit loop of the
-scalar add remain as table-free references.
+Tr(x) = sum_i x_i Tr(X^i) mod p over the n basis traces.  pow_table and
+vec_scale build their exponent vectors without a division pass over the
+field: pow_table adds two rows of about sqrt(q) residues, vec_scale adds
+log c - (q-1) to log x, and both keep the index into exp in [-(q-1), q-1),
+where a negative index wraps.  The polynomial routines (vec_mul_poly,
+_mul_scalar, _pow_scalar) and the digit loop of the scalar add remain as
+table-free references.
 """
 
 from __future__ import annotations
@@ -541,13 +545,18 @@ class FieldContext:
         return out
 
     def vec_scale(self, arr: np.ndarray, c: int) -> np.ndarray:
-        """c * arr elementwise."""
+        """c * arr elementwise, as a new writable array."""
         if c == 0:
             return np.zeros_like(arr)
-        out = np.zeros_like(arr)
-        nz = arr != 0
-        out[nz] = self.exp[(self.log[arr[nz]] + self.log[c]) % (self.q - 1)]
-        return out
+        shape = np.shape(arr)
+        arr = np.atleast_1d(arr)
+        t = self.log[arr]
+        t += int(self.log[c]) - (self.q - 1)  # in [-(q-1), q-1): no mod pass
+        zero = arr == 0
+        t[zero] = 0  # log 0 = -1 would give index -q at c = 1
+        out = self.exp[t]
+        out[zero] = 0
+        return out.reshape(shape)
 
     def pow_table(self, d: int) -> np.ndarray:
         """x^d for every x, read-only; d must be in [1, q-1]."""
@@ -556,10 +565,16 @@ class FieldContext:
         cached_d, cached = self._pow_cache
         if cached_d == d:
             return cached
+        # k = i*b + j with b = ceil(sqrt(q-1)): k*d mod (q-1) is j*d mod (q-1)
+        # plus i*(b*d mod (q-1)) mod (q-1).  The i row is shifted by -(q-1),
+        # so each sum indexes exp in [-(q-1), q-1) and only the two short
+        # rows divide.
         order = self.q - 1
-        idx = np.arange(order, dtype=np.int64)
+        b = math.isqrt(order - 1) + 1
+        low = np.arange(b, dtype=np.int64) * d % order
+        high = np.arange(-(-order // b), dtype=np.int64) * (b * d % order) % order - order
         t = np.zeros(self.q, dtype=np.int64)
-        t[self.exp] = self.exp[(idx * d) % order]
+        t[self.exp] = self.exp[(high[:, None] + low).ravel()[:order]]
         self._pow_cache = (d, _frozen(t))
         return t
 

@@ -303,11 +303,17 @@ class FuzzReport:
 
 def fuzz_identities(seed: int, count: int, budget: int = 343) -> FuzzReport:
     """Random (p, n, d, c != 1) cases with q <= budget; both spectrum
-    identities are checked exactly, the second via the quadruple count."""
+    identities are checked exactly, the second via the quadruple count.
+    Every draw runs that count, about q^2 element operations, so budget
+    may not exceed DEFAULT_N4_BUDGET."""
     if count < 0:
         raise ValueError(f"fuzz count must be >= 0, got {count}")
     if budget < 4:
         raise BudgetExceeded(f"fuzz budget must be at least 4, got {budget}")
+    if budget > DEFAULT_N4_BUDGET:
+        raise BudgetExceeded(
+            f"fuzz budget {budget} exceeds {DEFAULT_N4_BUDGET}: every draw runs "
+            "the quadruple count")
     rng = SplitMix64(seed)
     ctx_cache: dict[tuple[int, int], FieldContext] = {}
     cases = []

@@ -5,7 +5,14 @@ import time
 
 import pytest
 
-from cdspec import PowerMapCase, fuzz_identities, gamma_5n_closed, normalize_exponent, sweep_c
+from cdspec import (
+    ParseError,
+    PowerMapCase,
+    fuzz_identities,
+    gamma_5n_closed,
+    normalize_exponent,
+    sweep_c,
+)
 from cdspec.cli import (
     EXIT_BUDGET,
     EXIT_INCONSISTENT,
@@ -100,6 +107,27 @@ def test_spectrum_pk1half_requires_k(capsys):
     )
     assert code == EXIT_OK
     assert json.loads(out)["d"] == 3
+
+
+# --k is read by --d pk1half alone; with any other exponent it is unread.
+_K_WITHOUT_PK1HALF = [
+    (command, d, k)
+    for command in ("spectrum", "verify", "sweep")
+    for d, k in (("inv", "3"), ("7", "2"))
+]
+
+
+@pytest.mark.parametrize("command, d, k", _K_WITHOUT_PK1HALF,
+                         ids=[f"{cmd}-{d}" for cmd, d, _ in _K_WITHOUT_PK1HALF])
+def test_k_without_pk1half_is_a_usage_error(capsys, command, d, k):
+    c = ("--c", "2") if command != "sweep" else ()
+    assert run_cli(capsys, command, "--field", "5^2", "--d", d, *c)[0] == EXIT_OK
+    code, out, err = run_cli(capsys, command, "--field", "5^2", "--d", d, *c, "--k", k)
+    assert code == EXIT_USAGE and out == "" and "--k" in err
+    with pytest.raises(ParseError):
+        parse_d(get_ctx(5, 2), d, int(k))
+    code, _, _ = run_cli(capsys, command, "--field", "5^2", "--d", "pk1half", "--k", "1", *c)
+    assert code == EXIT_OK
 
 
 def test_pk1half_reports_the_reduced_exponent(capsys):
@@ -307,6 +335,19 @@ def test_fuzz_cli(capsys):
     payload = json.loads(out)
     assert payload["passes"] == 10
     assert payload["failures"] == []
+
+
+def test_fuzz_budget_above_n4_default_exits_at_once(capsys):
+    """Every draw runs the quadruple count, so --budget-q is capped at the
+    N4 default (625); above it fuzz exits 65 before drawing anything."""
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "fuzz", "--count", "3", "--budget-q", "100000",
+                             "--seed", "1")
+    assert time.perf_counter() - started < 2.0
+    assert code == EXIT_BUDGET and out == "" and "625" in err
+    code, out, _ = run_cli(capsys, "fuzz", "--count", "3", "--budget-q", "625",
+                           "--seed", "1", "--format", "json")
+    assert code == EXIT_OK and json.loads(out)["passes"] == 3
 
 
 def test_out_file(tmp_path, capsys):

@@ -285,6 +285,66 @@ def test_tables_match_polynomial_arithmetic():
                 assert ctx.chi(a) == (0 if a == 0 else 1 if euler == 1 else -1)
 
 
+# The formulas pow_table and vec_scale replaced, each with a mod-(q-1) pass;
+# the division-free kernels must reproduce them exactly.
+
+def _pow_table_mod(ctx, d):
+    order = ctx.q - 1
+    t = np.zeros(ctx.q, dtype=np.int64)
+    t[ctx.exp] = ctx.exp[(np.arange(order, dtype=np.int64) * d) % order]
+    return t
+
+
+def _vec_scale_mod(ctx, arr, c):
+    out = np.zeros_like(arr)
+    if c:
+        nz = arr != 0
+        out[nz] = ctx.exp[(ctx.log[arr[nz]] + ctx.log[c]) % (ctx.q - 1)]
+    return out
+
+
+def test_pow_table_and_vec_scale_match_mod_formulas_on_small_fields():
+    """Every d and every c (0 and 1 included) on every field with q <= 729."""
+    fields = [(p, n) for p in range(2, 730) if is_prime_trial(p)
+              for n in range(1, 10) if p ** n <= 729]
+    assert (2, 1) in fields and (3, 1) in fields and (3, 6) in fields
+    for p, n in fields:
+        ctx = get_ctx(p, n)
+        X = np.arange(ctx.q, dtype=np.int64)
+        for d in range(1, ctx.q):
+            assert np.array_equal(ctx.pow_table(d), _pow_table_mod(ctx, d)), (p, n, d)
+        for c in range(ctx.q):
+            assert np.array_equal(ctx.vec_scale(X, c), _vec_scale_mod(ctx, X, c)), (p, n, c)
+
+
+def test_pow_table_matches_mod_formula_on_large_fields():
+    rng = SplitMix64(10)
+    for p, n in ((2, 16), (3, 11), (5, 7)):
+        ctx = get_ctx(p, n)
+        q = ctx.q
+        for d in [1, q - 2, q - 1] + [1 + rng.below(q - 1) for _ in range(3)]:
+            assert np.array_equal(ctx.pow_table(d), _pow_table_mod(ctx, d)), (p, n, d)
+
+
+def test_vec_scale_shapes_and_writable_result():
+    """2-D and 0-d input keep their shape; a read-only input (a pow_table)
+    gives a writable result, which delta_values passes on to vec_sub."""
+    ctx = get_ctx(3, 3)
+    grid = np.arange(ctx.q, dtype=np.int64).reshape(3, 9)
+    cubes = ctx.pow_table(3)
+    for c in (0, 1, 2, ctx.neg_one, ctx.q - 1):
+        scaled = ctx.vec_scale(grid, c)
+        assert scaled.shape == (3, 9) and np.array_equal(scaled, _vec_scale_mod(ctx, grid, c))
+        for x in (0, 1, ctx.q - 1):
+            point = np.asarray(x, dtype=np.int64)
+            scaled = ctx.vec_scale(point, c)
+            assert scaled.shape == () and int(scaled) == int(_vec_scale_mod(ctx, point, c))
+        scaled = ctx.vec_scale(cubes, c)
+        assert np.array_equal(scaled, _vec_scale_mod(ctx, cubes, c))
+        assert scaled.flags.writeable
+    assert not cubes.flags.writeable and ctx.pow_table(3) is cubes
+
+
 def test_tables_are_read_only():
     ctx = build_context(FieldSpec(3, 3))
     for name in ("exp", "log", "succ", "zech"):

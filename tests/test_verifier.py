@@ -13,6 +13,7 @@ from cdspec import (
     verify_with_context,
 )
 from cdspec.closed_forms import TheoremId
+from cdspec.spectrum import DEFAULT_N4_BUDGET
 from cdspec.verifier import (
     MATCH,
     MISMATCH,
@@ -353,6 +354,13 @@ def test_fuzz_deterministic():
     a = fuzz_identities(seed=7, count=10, budget=49)
     b = fuzz_identities(seed=7, count=10, budget=49)
     assert a.cases == b.cases
+
+
+def test_fuzz_budget_is_capped_at_the_n4_default():
+    with pytest.raises(BudgetExceeded):
+        fuzz_identities(seed=1, count=3, budget=DEFAULT_N4_BUDGET + 1)
+    report = fuzz_identities(seed=1, count=3, budget=DEFAULT_N4_BUDGET)
+    assert report.all_ok and report.budget == DEFAULT_N4_BUDGET
 
 
 def test_fuzz_respects_budget_and_c_ne_1():
