@@ -22,7 +22,6 @@ from .field import (
     gamma_5n_direct,
     gcd_pk1,
     parse_field_spec,
-    partition_by_chi,
     quadratic_solution_count,
 )
 from .spectrum import (
@@ -32,7 +31,6 @@ from .spectrum import (
     c_ddt_entry,
     c_delta,
     c_spectrum,
-    c_uniformity,
     check_identities,
     n4_bruteforce,
     normalize_exponent,
@@ -56,7 +54,6 @@ from .verifier import (
     SplitMix64,
     SweepResult,
     VerifyReport,
-    cyclotomic_representatives,
     fuzz_identities,
     scan_exponents,
     sweep_c,

@@ -261,7 +261,7 @@ class FieldSpec:
 
 def parse_field_spec(text: str) -> FieldSpec:
     """Parse "p^n" or "p^n/c0,c1,...,cn" (modulus coefficients low to high)."""
-    body, _, mod_part = text.partition("/")
+    body, slash, mod_part = text.partition("/")
     try:
         p_str, caret, n_str = body.partition("^")
         p = int(p_str)
@@ -269,7 +269,7 @@ def parse_field_spec(text: str) -> FieldSpec:
     except ValueError as exc:
         raise ParseError(f"bad field spec {text!r}") from exc
     modulus = None
-    if mod_part:
+    if slash:
         try:
             modulus = tuple(int(c) for c in mod_part.split(","))
         except ValueError as exc:
@@ -292,12 +292,10 @@ class FieldContext:
         self.neg_one = 1 if self.p == 2 else self.p - 1
         cpow = self._companion_powers()
         self.generator = self._find_generator(cpow)
-        # One (d, x^d table) slot and one (d, log tables of pow_log_ratio)
-        # slot, each rebound in a single assignment so that concurrent
-        # readers see either the old or the new tuple, never a mix.
-        self._pow_cache: tuple[int, Optional[np.ndarray]] = (0, None)
-        self._log_ratio_cache: tuple[int, Optional[np.ndarray], Optional[np.ndarray]] = (
-            0, None, None)
+        # One per-d slot (d, x^d, lu, ratio), the log tables of pow_log_ratio
+        # None until asked for.  It is rebound in a single assignment, so
+        # concurrent readers see either the old or the new tuple, never a mix.
+        self._pow_slot: tuple = (0, None, None, None)
         self._build_tables(cpow)
 
     # -- construction internals ------------------------------------------
@@ -562,7 +560,7 @@ class FieldContext:
         """x^d for every x, read-only; d must be in [1, q-1]."""
         if not 1 <= d <= self.q - 1:
             raise ValueError(f"exponent {d} out of range [1, {self.q - 1}]")
-        cached_d, cached = self._pow_cache
+        cached_d, cached, _, _ = self._pow_slot
         if cached_d == d:
             return cached
         # k = i*b + j with b = ceil(sqrt(q-1)): k*d mod (q-1) is j*d mod (q-1)
@@ -575,7 +573,7 @@ class FieldContext:
         high = np.arange(-(-order // b), dtype=np.int64) * (b * d % order) % order - order
         t = np.zeros(self.q, dtype=np.int64)
         t[self.exp] = self.exp[(high[:, None] + low).ravel()[:order]]
-        self._pow_cache = (d, _frozen(t))
+        self._pow_slot = (d, _frozen(t), None, None)
         return t
 
     def pow_log_ratio(self, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -583,15 +581,16 @@ class FieldContext:
         ratio = log(x^d / (x+1)^d) mod (q-1), all in [0, q-1).  The entries
         at x = 0 and x = -1, where x^d or (x+1)^d is 0, are meaningless;
         d must be in [1, q-1]."""
-        cached_d, lu, ratio = self._log_ratio_cache
-        if cached_d == d:
+        cached_d, _, lu, ratio = self._pow_slot
+        if cached_d == d and lu is not None:
             return lu, ratio
-        lv = self.log[self.pow_table(d)]
+        t = self.pow_table(d)
+        lv = self.log[t]
         lv[0] = 0  # keeps every entry of lu and ratio in [0, q-1)
         lu = lv[self.succ]
         ratio = lv - lu
         ratio += (ratio < 0) * (self.q - 1)  # mod q-1, without a division pass
-        self._log_ratio_cache = (d, _frozen(lu), _frozen(ratio))
+        self._pow_slot = (d, t, _frozen(lu), _frozen(ratio))
         return lu, ratio
 
     def __repr__(self) -> str:
@@ -679,17 +678,3 @@ def gamma_5n_direct(ctx: FieldContext) -> int:
     vals = ctx.vec_sub(cubes, X)  # x^3 - x = x(x-1)(x+1)
     return int(ctx.vec_chi(vals).sum(dtype=np.int64))
 
-
-def partition_by_chi(ctx: FieldContext) -> tuple[int, int, int, int]:
-    """Counts of x outside {0, -1} by (chi(x), chi(x+1)) sign pattern,
-    ordered (+,+), (+,-), (-,+), (-,-)."""
-    if ctx.p == 2:
-        raise CharTwoUnsupported("partition needs odd characteristic")
-    X = np.arange(ctx.q, dtype=np.int64)
-    cx = ctx.vec_chi(X)
-    cy = ctx.vec_chi(ctx.succ)
-    mask = (X != 0) & (X != ctx.neg_one)
-    out = []
-    for i, j in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-        out.append(int(np.count_nonzero(mask & (cx == i) & (cy == j))))
-    return tuple(out)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as _field
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -45,6 +45,26 @@ def cyclotomic_class(p: int, q: int, d: int) -> list[int]:
         members.add(cur or order)
         cur = (cur * p) % order
     return sorted(members)
+
+
+def cyclotomic_classes(p: int, q: int) -> Iterator[list[int]]:
+    """Each orbit {d * p^i mod (q-1)} over d in [1, q-1] once, as its
+    ascending members, in order of the smallest member.
+
+    Residue 0 mod (q-1) stands for the exponent q-1 itself.
+    """
+    order = q - 1
+    seen = bytearray(order)
+    for d in range(1, q):
+        cur = d % order
+        if seen[cur]:
+            continue
+        members = []
+        while not seen[cur]:
+            seen[cur] = 1
+            members.append(cur or order)
+            cur = (cur * p) % order
+        yield sorted(members)
 
 
 @dataclass
@@ -167,12 +187,6 @@ def c_spectrum(case: PowerMapCase) -> CDiffSpectrum:
 def uniformity_label(u: int) -> str:
     """PcN/APcN classification of the c-differential uniformity u."""
     return {1: "PcN", 2: "APcN"}.get(u, f"(c,{u})-uniform")
-
-
-def c_uniformity(case: PowerMapCase) -> tuple[int, str]:
-    """Uniformity (max spectrum index) plus PcN/APcN classification."""
-    u = c_spectrum(case).uniformity
-    return u, uniformity_label(u)
 
 
 def n4_bruteforce(case: PowerMapCase, budget: int = DEFAULT_N4_BUDGET) -> int:

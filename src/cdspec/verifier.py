@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from .closed_forms import SpectrumPrediction, dispatch
 from .errors import BudgetExceeded
@@ -15,7 +15,7 @@ from .spectrum import (
     PowerMapCase,
     c_spectrum,
     check_identities,
-    cyclotomic_class,  # public here as well
+    cyclotomic_classes,
     n4_bruteforce,
     normalize_exponent,
 )
@@ -204,31 +204,6 @@ def sweep_c(ctx: FieldContext, d: int, *, n4_budget: int = DEFAULT_N4_BUDGET) ->
     )
 
 
-def cyclotomic_classes(p: int, q: int) -> Iterator[list[int]]:
-    """Each orbit {d * p^i mod (q-1)} over d in [1, q-1] once, as its
-    ascending members, in order of the smallest member.
-
-    Residue 0 mod (q-1) stands for the exponent q-1 itself.
-    """
-    order = q - 1
-    seen = bytearray(order)
-    for d in range(1, q):
-        cur = d % order
-        if seen[cur]:
-            continue
-        members = []
-        while not seen[cur]:
-            seen[cur] = 1
-            members.append(cur or order)
-            cur = (cur * p) % order
-        yield sorted(members)
-
-
-def cyclotomic_representatives(p: int, q: int) -> Iterator[int]:
-    """Smallest member of each orbit {d * p^i mod (q-1)} over d in [1, q-1]."""
-    return (members[0] for members in cyclotomic_classes(p, q))
-
-
 @dataclass
 class ScanResult:
     p: int
@@ -309,7 +284,7 @@ def fuzz_identities(seed: int, count: int, budget: int = 343) -> FuzzReport:
     if count < 0:
         raise ValueError(f"fuzz count must be >= 0, got {count}")
     if budget < 4:
-        raise BudgetExceeded(f"fuzz budget must be at least 4, got {budget}")
+        raise ValueError(f"fuzz budget must be at least 4, got {budget}")
     if budget > DEFAULT_N4_BUDGET:
         raise BudgetExceeded(
             f"fuzz budget {budget} exceeds {DEFAULT_N4_BUDGET}: every draw runs "
@@ -337,7 +312,7 @@ def fuzz_identities(seed: int, count: int, budget: int = 343) -> FuzzReport:
             ctx_cache[(p, n)] = ctx
         case = PowerMapCase(ctx, d, c)
         spec = c_spectrum(case)
-        n4 = n4_bruteforce(case, budget=q)
+        n4 = n4_bruteforce(case)
         rep = check_identities(spec, n4)
         entry = {
             "p": p,

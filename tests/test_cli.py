@@ -68,6 +68,7 @@ _REJECTED_FIELDS = [
     ("1000000000000000003^1", (), EXIT_BUDGET),  # p alone exceeds the cap
     ("3^300000000", (), EXIT_BUDGET),
     ("2^", (), EXIT_USAGE),
+    ("3^2/", (), EXIT_USAGE),  # a slash with no modulus after it
     # q - 1 = 2 * prime here, so factoring it by trial division would take
     # far longer than the bound
     ("1000000000000007243^1", (), EXIT_BUDGET),
@@ -348,6 +349,17 @@ def test_fuzz_budget_above_n4_default_exits_at_once(capsys):
     code, out, _ = run_cli(capsys, "fuzz", "--count", "3", "--budget-q", "625",
                            "--seed", "1", "--format", "json")
     assert code == EXIT_OK and json.loads(out)["passes"] == 3
+
+
+def test_fuzz_budget_below_4_is_a_usage_error(capsys):
+    """A --budget-q below 4 is malformed input, like a negative --count:
+    exit 64, not the budget-exceeded 65."""
+    for budget in ("3", "0", "-1"):
+        code, out, _ = run_cli(capsys, "fuzz", "--count", "1", "--budget-q", budget)
+        assert code == EXIT_USAGE and out == "", budget
+    code, out, _ = run_cli(capsys, "fuzz", "--count", "1", "--budget-q", "4",
+                           "--format", "json")
+    assert code == EXIT_OK and json.loads(out)["passes"] == 1
 
 
 def test_out_file(tmp_path, capsys):

@@ -22,7 +22,6 @@ from cdspec import (
     gamma_5n_direct,
     gcd_pk1,
     parse_field_spec,
-    partition_by_chi,
     quadratic_solution_count,
 )
 from cdspec.field import DEFAULT_ENUM_CAP, is_prime
@@ -94,6 +93,8 @@ def test_parse_field_spec():
         parse_field_spec("5^x")
     with pytest.raises(ParseError):
         parse_field_spec("2^")
+    with pytest.raises(ParseError):
+        parse_field_spec("3^2/")  # a slash with no modulus after it
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +217,9 @@ def test_pow_table_threads_and_single_slot():
 
 def test_pow_log_ratio_threads_and_single_slot():
     """Threads alternating two exponents on one odd field never read lu of
-    one d with ratio of another, nor either of them with the wrong d."""
+    one d with ratio of another, nor either of them with the wrong d.  The
+    x^d table shares the slot, so each thread also reads pow_table at the
+    exponents of the other threads."""
     # A small field makes each slot update cheap, so updates are frequent.
     ctx = build_context(FieldSpec(3, 3))
     order = ctx.q - 1
@@ -226,16 +229,21 @@ def test_pow_log_ratio_threads_and_single_slot():
     expected = {d: (d * lx1 % order, d * (lx - lx1) % order) for d in ds}
     c = ctx.neg_one
     delta = {d: ctx.sub(ctx.pow(ctx.add(x, 1), d), ctx.mul(c, ctx.pow(x, d))) for d in ds}
+    powers = {d: [ctx.pow(y, d) for y in range(ctx.q)] for d in ds}
     errors = []
 
     def worker(offset):
         pair = ds[2 * (offset % 2):][:2]
+        other = ds[2 * ((offset + 1) % 2):][:2]
         try:
             for i in range(2000):
                 d = pair[(offset + i) % 2]  # d1, d2, d1, ...
                 lu, ratio = ctx.pow_log_ratio(d)
                 if (int(lu[x]), int(ratio[x])) != expected[d]:
                     errors.append(d)
+                e = other[i % 2]
+                if not np.array_equal(ctx.pow_table(e), powers[e]):
+                    errors.append(("pow", e))
                 if i % 8 == 0 and PowerMapCase(ctx, d, c).delta_values()[x] != delta[d]:
                     errors.append(("delta", d))
         except Exception as exc:  # reported through errors, asserted below
@@ -255,6 +263,9 @@ def test_pow_log_ratio_threads_and_single_slot():
         sys.setswitchinterval(old)
     assert errors == []
     assert ctx.pow_log_ratio(7)[0] is ctx.pow_log_ratio(7)[0]
+    t = ctx.pow_table(13)
+    ctx.pow_log_ratio(13)  # fills the slot's log tables, keeps its x^13
+    assert ctx.pow_table(13) is t
 
 
 def test_inverse_of_zero():
@@ -537,17 +548,27 @@ def test_gamma_wrong_characteristic():
 
 
 # ---------------------------------------------------------------------------
-# Sign partition of (chi(x), chi(x+1))
+# Sign pattern of (chi(x), chi(x+1))
 # ---------------------------------------------------------------------------
 
+def _chi_pair_product(ctx):
+    """chi(x) * chi(x+1) for every x: 0 at x = 0 and x = -1, else +-1."""
+    return ctx.vec_chi(np.arange(ctx.q, dtype=np.int64)) * ctx.vec_chi(ctx.succ)
+
+
 def test_partition_gf5():
-    assert partition_by_chi(get_ctx(5, 1)) == (0, 1, 1, 1)
+    # Squares of GF(5) are 1 and 4: for x = 1, 2, 3 the signs of
+    # (chi(x), chi(x+1)) are (+,-), (-,-), (-,+), and no x has (+,+).
+    ctx = get_ctx(5, 1)
+    signs = zip(ctx.vec_chi(np.arange(5)).tolist(), ctx.vec_chi(ctx.succ).tolist())
+    assert list(signs)[1:4] == [(1, -1), (-1, -1), (-1, 1)]
+    assert _chi_pair_product(ctx).tolist() == [0, -1, 1, -1, 0]
 
 
 def test_partition_sums_and_cross_check():
     for p, n in [(3, 2), (5, 1), (5, 2), (7, 1), (7, 2), (11, 1)]:
         ctx = get_ctx(p, n)
-        s11, s1m, sm1, smm = partition_by_chi(ctx)
-        assert s11 + s1m + sm1 + smm == ctx.q - 2
+        prod = _chi_pair_product(ctx)
+        assert np.flatnonzero(prod == 0).tolist() == [0, ctx.neg_one]  # q - 2 signs
         # sum chi(x(x+1)) = -1 by the closed-form character sum
-        assert s11 + smm - s1m - sm1 == char_sum_quadratic(ctx, 1, 1, 0)
+        assert int(prod.sum()) == char_sum_quadratic(ctx, 1, 1, 0)

@@ -12,13 +12,12 @@ from cdspec import (
     c_ddt_entry,
     c_delta,
     c_spectrum,
-    c_uniformity,
     check_identities,
     n4_bruteforce,
     normalize_exponent,
 )
 from cdspec import spectrum
-from cdspec.spectrum import CDiffSpectrum
+from cdspec.spectrum import CDiffSpectrum, uniformity_label
 from cdspec.verifier import SplitMix64
 
 from conftest import get_ctx, odd_fields
@@ -183,9 +182,13 @@ def test_spectrum_c1_classical_row():
 
 
 def test_uniformity_classification():
-    assert c_uniformity(PowerMapCase(get_ctx(5, 1), 1, 4)) == (1, "PcN")
-    assert c_uniformity(PowerMapCase(get_ctx(5, 1), 3, 4)) == (2, "APcN")
-    assert c_uniformity(PowerMapCase(get_ctx(7, 1), 5, 3))[1] == "(c,3)-uniform"
+    def classify(p, d, c):
+        u = c_spectrum(PowerMapCase(get_ctx(p, 1), d, c)).uniformity
+        return u, uniformity_label(u)
+
+    assert classify(5, 1, 4) == (1, "PcN")
+    assert classify(5, 3, 4) == (2, "APcN")
+    assert classify(7, 5, 3)[1] == "(c,3)-uniform"
 
 
 def test_every_spectrum_satisfies_counting_identity():

@@ -13,7 +13,7 @@ from cdspec import (
     verify_with_context,
 )
 from cdspec.closed_forms import TheoremId
-from cdspec.spectrum import DEFAULT_N4_BUDGET
+from cdspec.spectrum import DEFAULT_N4_BUDGET, cyclotomic_class, cyclotomic_classes
 from cdspec.verifier import (
     MATCH,
     MISMATCH,
@@ -21,9 +21,6 @@ from cdspec.verifier import (
     PREDICTOR_INCONSISTENT,
     SplitMix64,
     SweepResult,
-    cyclotomic_class,
-    cyclotomic_classes,
-    cyclotomic_representatives,
 )
 
 from conftest import get_ctx, is_prime_trial, odd_fields
@@ -279,7 +276,7 @@ def test_sweep_reports_the_reduced_exponent():
 # ---------------------------------------------------------------------------
 
 def test_cyclotomic_representatives_dedup():
-    reps = list(cyclotomic_representatives(5, 25))
+    reps = [members[0] for members in cyclotomic_classes(5, 25)]
     assert reps == sorted(reps)
     seen = set()
     for d in reps:
@@ -296,7 +293,8 @@ def test_cyclotomic_representatives_dedup():
 def test_cyclotomic_classes_partition_the_exponents():
     for p, q in ((2, 2), (2, 16), (3, 27), (5, 25), (7, 49)):
         classes = list(cyclotomic_classes(p, q))
-        assert [m[0] for m in classes] == list(cyclotomic_representatives(p, q))
+        reps = [m[0] for m in classes]
+        assert reps == sorted(reps)
         assert all(m == cyclotomic_class(p, q, m[0]) for m in classes)
         assert sorted(d for m in classes for d in m) == list(range(1, q))
 
@@ -361,6 +359,14 @@ def test_fuzz_budget_is_capped_at_the_n4_default():
         fuzz_identities(seed=1, count=3, budget=DEFAULT_N4_BUDGET + 1)
     report = fuzz_identities(seed=1, count=3, budget=DEFAULT_N4_BUDGET)
     assert report.all_ok and report.budget == DEFAULT_N4_BUDGET
+
+
+def test_fuzz_budget_below_4_is_malformed():
+    # A malformed value, like a negative count, not an exceeded budget.
+    for budget in (3, 0, -5):
+        with pytest.raises(ValueError):
+            fuzz_identities(seed=1, count=3, budget=budget)
+    assert fuzz_identities(seed=1, count=3, budget=4).all_ok
 
 
 def test_fuzz_respects_budget_and_c_ne_1():
