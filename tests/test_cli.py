@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import time
@@ -427,3 +428,149 @@ _UNREAD_FLAGS = [
 def test_unread_flag_is_a_usage_error(capsys, argv, flag):
     assert run_cli(capsys, *argv)[0] == EXIT_OK
     assert run_cli(capsys, *argv, *flag)[0] == EXIT_USAGE
+
+
+# ---------------------------------------------------------------------------
+# Output bytes
+# ---------------------------------------------------------------------------
+
+# Every subcommand in every format on small fields: explicit moduli, the
+# quadruple count on and off, one exit-3 verify.  Each digest is the sha256
+# of stdout, so a change to any output byte fails here.
+_PINNED_ARGV = dict([
+    ("spectrum-5^2-pk1half",
+     ("spectrum", "--field", "5^2", "--d", "pk1half", "--k", "1", "--c", "-1")),
+    ("spectrum-2^4-inv", ("spectrum", "--field", "2^4", "--d", "inv", "--c", "e:3")),
+    ("spectrum-3^2-modulus", ("spectrum", "--field", "3^2/2,1,1", "--d", "7", "--c", "2")),
+    ("verify-5^2-pk1half",
+     ("verify", "--field", "5^2", "--d", "pk1half", "--k", "1", "--c", "-1")),
+    ("verify-2^4-modulus",
+     ("verify", "--field", "2^4/1,1,0,0,1", "--d", "inv", "--c", "e:3")),
+    ("verify-7^2-no-n4",
+     ("verify", "--field", "7^2", "--d", "inv", "--c", "3", "--budget-n4", "0")),
+    ("verify-3^4-inconsistent", ("verify", "--field", "3^4", "--d", "78", "--c", "-1")),
+    ("sweep-3^2-inv", ("sweep", "--field", "3^2", "--d", "inv")),
+    ("sweep-2^4-no-n4", ("sweep", "--field", "2^4", "--d", "inv", "--budget-n4", "0")),
+    ("sweep-5^2-pk1half", ("sweep", "--field", "5^2", "--d", "pk1half", "--k", "1")),
+    ("scan-3^3", ("scan", "--field", "3^3", "--c", "2", "--max-uniformity", "2")),
+    ("scan-2^5-modulus",
+     ("scan", "--field", "2^5/1,0,1,0,0,1", "--c", "e:3", "--max-uniformity", "3")),
+    ("gamma-2", ("gamma", "--n", "2")),
+    ("gamma-3", ("gamma", "--n", "3")),
+    ("fuzz-49", ("fuzz", "--seed", "1", "--count", "6", "--budget-q", "49")),
+    ("fuzz-25", ("fuzz", "--seed", "5", "--count", "6", "--budget-q", "25")),
+    ("fuzz-13", ("fuzz", "--seed", "2", "--count", "8", "--budget-q", "13")),
+])
+
+_PINNED_OUTPUT = [
+    ("spectrum-5^2-pk1half", "json", 0,
+     "2cc83a81b554a10ecd9881ed8ac91c73a7b9b8ddc4b61afb312c3321810a7ae7"),
+    ("spectrum-5^2-pk1half", "csv", 0,
+     "49d5afbad5a52544091e8f70042c46802b8920ddf2cd50c341bc13722d785a43"),
+    ("spectrum-5^2-pk1half", "text", 0,
+     "c6d00d9de79b0a50120d138d254ddf4e91ae17d5475133e004e00545860482cc"),
+    ("spectrum-2^4-inv", "json", 0,
+     "4aa24673bdc3e2c0bca22fa15c471b5919dbe2c1a62710c590e16a3aee836d1d"),
+    ("spectrum-2^4-inv", "csv", 0,
+     "948e705152a5699d5882458f85dab56d267252f3c49390c4d9f4e2c0574f653c"),
+    ("spectrum-2^4-inv", "text", 0,
+     "7106876b41a3d3951156d2fc47a1846c29406dc553f71146c4d4f5c8933e4de0"),
+    ("spectrum-3^2-modulus", "json", 0,
+     "7f877040bb699ecd4fd9cfebccae5db573d5c645a3d954fd574fe8b37133e270"),
+    ("spectrum-3^2-modulus", "csv", 0,
+     "39ef6a2d711d0d8c087d864b158f477bb8cbc3f2b89b7a08135d5ebdfef40852"),
+    ("spectrum-3^2-modulus", "text", 0,
+     "d5e32b72234428518c3c08bcab8608fc623d03d10d977cad18d88f456300dd82"),
+    ("verify-5^2-pk1half", "json", 0,
+     "3d451bb7d8e481f24e48fd44466afdc214f057a5e7b984370135d9a8237abdf0"),
+    ("verify-5^2-pk1half", "csv", 0,
+     "b522634ec4d91e13a9fe2938e38a34b2da640f944af34983439e9cfede9daebd"),
+    ("verify-5^2-pk1half", "text", 0,
+     "d7e791531171cdc085cabaccbafe70f59a21393f9c9da5ac6b3ceb4313a24252"),
+    ("verify-2^4-modulus", "json", 0,
+     "7e38c0ffa0ccfccf9e5c40a1f302a2affc146107e0a9ace6ec032278825fe5d4"),
+    ("verify-2^4-modulus", "csv", 0,
+     "1abbd065fcaa692c74951dbe1fb623d720a16eb13af292531830ff847fa95ab7"),
+    ("verify-2^4-modulus", "text", 0,
+     "52c756897f7776522fa6dd593edb447d616559f87920801ddcde6c420ca9e6d5"),
+    ("verify-7^2-no-n4", "json", 0,
+     "b5d7f9baa1c2fec2becbe585dbddcc8dcf50ad1f774635555accdc153db7a3a9"),
+    ("verify-7^2-no-n4", "csv", 0,
+     "f7d7b476fa021a71245c76039b1365509f15d03178dd0a2927dab32a8cd01e75"),
+    ("verify-7^2-no-n4", "text", 0,
+     "d53f5d8dc4a10d7d7304b8b80a2aae96d6c5021b1bd3af1f930b4b5f20250e3c"),
+    ("verify-3^4-inconsistent", "json", 3,
+     "6acbcb55fe61d8d63a5d7a2ea89e80d3cf33995e34a59977a21a4e68261ed709"),
+    ("verify-3^4-inconsistent", "csv", 3,
+     "8accd59f922203a10d8e06b43ff2fbf3aa946edf3f8dd8772e10c9682520c330"),
+    ("verify-3^4-inconsistent", "text", 3,
+     "0630f1ee21feeccf912f11a85932b49e0c1a7d9406a06dc0e9b9b622b34cd6b7"),
+    ("sweep-3^2-inv", "json", 0,
+     "c803390743a9f7aed07e0daad4431c6b429211f3becaddd68fccab73d9d335c8"),
+    ("sweep-3^2-inv", "csv", 0,
+     "a08e51070b9b04fd45eed12dc1a562611e09c96a44d150447cd4c98d8a62bbab"),
+    ("sweep-3^2-inv", "text", 0,
+     "af59d47d8482dfa9fc112a137e231ff499beeebf57de8983e8bd7d0880a053c0"),
+    ("sweep-2^4-no-n4", "json", 0,
+     "6ba5dff2dd28cc606481a94e284f8d634e542b01a8cc7b74b603423ca6be6866"),
+    ("sweep-2^4-no-n4", "csv", 0,
+     "d900d686b2ba955d2c980a1d5018411bfbb55ae844717a5ff32ce84bd3fee68b"),
+    ("sweep-2^4-no-n4", "text", 0,
+     "f8680fb59addb4a06650392c38e27c51a33805834a2f510de0c2535323dd8c8c"),
+    ("sweep-5^2-pk1half", "json", 0,
+     "3d7f237f6b4a5313ddc4d7191ca975762e24ba8cbecfc76ea8e17d8985e1a651"),
+    ("sweep-5^2-pk1half", "csv", 0,
+     "e1cd38c4d637d69390c0c14b631449385fccfb3238feb5c5a0a2ee511aa46945"),
+    ("sweep-5^2-pk1half", "text", 0,
+     "4262526d44c68dc0c53a9fb3e508ec446f74f1521f9cf4a9a0dd73038b869565"),
+    ("scan-3^3", "json", 0,
+     "3a48949e59f6673dcefa8831c690a0c08ff84c5ec1fa5ab71bcb207141b62cdc"),
+    ("scan-3^3", "csv", 0,
+     "5c481c4fee138f206302fc373171aacd1d7137912be7beb175194fab9ed322e3"),
+    ("scan-3^3", "text", 0,
+     "c13c6f6ec97fb6d1c61a0ea5d8baee8e65072ae8e99e26f457ed06a84e5ce024"),
+    ("scan-2^5-modulus", "json", 0,
+     "511d4a0a32d2682e5f0bed1361986eaaca8ab8dd67458ca0aa487037295642bc"),
+    ("scan-2^5-modulus", "csv", 0,
+     "9499f1d3e85c37a87724bc1eb4df04dd7e41ae0b9b1b01c35cc7c20d04a48ba6"),
+    ("scan-2^5-modulus", "text", 0,
+     "5f4fedad784ca52b1404d4fb5cbc380dddfb5e4f923fc4668f705fd3c9146dd1"),
+    ("gamma-2", "json", 0,
+     "5794d96533888495663fb0bdcfd7c2a5c24e9f3adc628734bc7cdd66870faf81"),
+    ("gamma-2", "csv", 0,
+     "654f23998d1e7303b869fc3d88f51f6765d33f9498cb4c2b59252f3e327b858b"),
+    ("gamma-2", "text", 0,
+     "c493c8abd8fee521022d3eaf71e02c773e8b4a5939ac43f6369343308cabc161"),
+    ("gamma-3", "json", 0,
+     "60777c67aa5dfd353161e366c9ed669b8f4a8871e71f97685e61b8e8c5221caf"),
+    ("gamma-3", "csv", 0,
+     "eedf1f1e1d1622393d0467041fd68aabb8c3e4f405590e895bdeacee45bb0157"),
+    ("gamma-3", "text", 0,
+     "a082440248770a994b77913ad66c7da8b93baf2d263c84ee37ea100cf8b90c21"),
+    ("fuzz-49", "json", 0,
+     "ac9e3c12cef121f0af70f44732c5102a94b3d0eec4a0ba81b0ddf847c9838747"),
+    ("fuzz-49", "csv", 0,
+     "b9a316db5347f13d7c791025258a79e053b18b1aced432a9c2896f30df773514"),
+    ("fuzz-49", "text", 0,
+     "2f40ddd5907f77119c3a0cb133be3bca26d2db2eb308ad884c31154a08cadec6"),
+    ("fuzz-25", "json", 0,
+     "aad3a1fe17e00892300d4dc31e35785f0ce0f2c3e157cd5ab4ef6c97284bfc27"),
+    ("fuzz-25", "csv", 0,
+     "0e91e98b7a99f0cc5f086e3050e308dc1fdc18bc9858d0a6e5617bfe9796f36c"),
+    ("fuzz-25", "text", 0,
+     "11a4f62b8d095383e786d170b8ec6ba82fd072f39da9840f49c8e9acf6211c6f"),
+    ("fuzz-13", "json", 0,
+     "b931002626262a8f021f21bf6bca965feaa1961fba6e9603764e6a46e1d02315"),
+    ("fuzz-13", "csv", 0,
+     "b03587aa2b082b4d7c5539e5d4f2005ac7edd53587f7e6c89a7daba6e6645396"),
+    ("fuzz-13", "text", 0,
+     "c4046008684ffe7520abaa8741586eb91129c402213d693111dbdf5ab135b804"),
+]
+
+
+@pytest.mark.parametrize("case, fmt, code, digest", _PINNED_OUTPUT,
+                         ids=[f"{case}-{fmt}" for case, fmt, _, _ in _PINNED_OUTPUT])
+def test_output_bytes_are_pinned(capsys, case, fmt, code, digest):
+    got_code, out, _ = run_cli(capsys, *_PINNED_ARGV[case], "--format", fmt)
+    assert got_code == code
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
