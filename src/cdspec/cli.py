@@ -24,7 +24,7 @@ from .field import (
     gamma_5n_direct,
     parse_field_spec,
 )
-from .spectrum import DEFAULT_N4_BUDGET, PowerMapCase, c_spectrum, uniformity_label
+from .spectrum import DEFAULT_N4_BUDGET, PowerMapCase, c_spectrum, omega_doc, uniformity_label
 
 EXIT_OK = 0
 EXIT_MISMATCH = 2
@@ -120,8 +120,12 @@ def _build_ctx(args) -> FieldContext:
 # Output formatting
 # ---------------------------------------------------------------------------
 
+def _canonical(doc) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
 def to_json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    return _canonical(payload) + "\n"
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -144,8 +148,7 @@ def _emit(args, text: str) -> None:
 
 
 def _omega_json(omega: dict[int, int]) -> str:
-    return json.dumps({str(i): w for i, w in sorted(omega.items())},
-                      sort_keys=True, separators=(",", ":"))
+    return _canonical(omega_doc(omega))
 
 
 def _eq_str(value) -> str:
@@ -193,7 +196,7 @@ def cmd_spectrum(args) -> int:
         "field": {"p": ctx.p, "n": ctx.n, "modulus": list(ctx.modulus)},
         "d": case.d,
         "c": c,
-        "omega": {str(i): w for i, w in sorted(spec.omega.items())},
+        "omega": omega_doc(spec.omega),
         "uniformity": u,
         "class": label,
     }
@@ -279,9 +282,7 @@ def cmd_scan(args) -> int:
     if args.format == "json":
         _emit(args, to_json(result.as_dict()))
     elif args.format == "csv":
-        rows = [[r["d"], r["uniformity"],
-                 json.dumps(r["omega"], sort_keys=True, separators=(",", ":"))]
-                for r in result.rows]
+        rows = [[r["d"], r["uniformity"], _canonical(r["omega"])] for r in result.rows]
         _emit(args, _csv_text(["d", "uniformity", "omega_json"], rows))
     else:
         lines = [
@@ -291,7 +292,7 @@ def cmd_scan(args) -> int:
         for r in result.rows:
             lines.append(
                 f"  d={r['d']}: uniformity={r['uniformity']}, "
-                + json.dumps(r["omega"], sort_keys=True, separators=(",", ":"))
+                + _canonical(r["omega"])
             )
         _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK

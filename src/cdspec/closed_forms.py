@@ -15,7 +15,7 @@ from enum import Enum
 
 from .errors import Inapplicable
 from .field import FieldContext
-from .spectrum import cyclotomic_class, normalize_exponent
+from .spectrum import counting_identity_errors, cyclotomic_class, normalize_exponent, omega_doc
 
 
 class TheoremId(Enum):
@@ -43,18 +43,10 @@ class SpectrumPrediction:
         return {
             "theorem": self.theorem.value,
             "conditions": [[k, v] for k, v in self.conditions],
-            "omega": {str(i): w for i, w in sorted(self.omega.items())},
+            "omega": omega_doc(self.omega),
             "consistent": self.consistent,
             "notes": self.notes,
         }
-
-
-def _eq1_holds(omega: dict[int, int], q: int) -> bool:
-    return (
-        all(w >= 0 for w in omega.values())
-        and sum(omega.values()) == q
-        and sum(i * w for i, w in omega.items()) == q
-    )
 
 
 def _assemble(
@@ -72,7 +64,7 @@ def _assemble(
             omega[i] = num // den
         else:
             bad.append(f"omega_{i} = {num}/{den} is not a nonnegative integer")
-    consistent = not bad and _eq1_holds(omega, q)
+    consistent = not bad and not counting_identity_errors(omega, q)
     if bad:
         notes = "; ".join(([notes] if notes else []) + bad)
     return SpectrumPrediction(
@@ -312,12 +304,11 @@ def dispatch(ctx: FieldContext, d: int, c: int) -> list[SpectrumPrediction]:
             if matches(q - 3):
                 preds.append(predict_3n_minus3(n))
         if p % 4 == 1 or (p % 4 == 3 and p > 7):
-            ks = [k for k in range(1, 2 * n + 1, 2) if math.gcd(n, k) == 1]
-            # a k matching by residue is recorded before one matching by class
-            k = next((k for k in ks if normalize_exponent((p ** k + 1) // 2, q) == dn), None)
-            if k is None:
-                k = next((k for k in ks if matches((p ** k + 1) // 2)), None)
-            if k is not None:
+            ks = [k for k in range(1, 2 * n + 1, 2)
+                  if math.gcd(n, k) == 1 and matches((p ** k + 1) // 2)]
+            if ks:
+                # a k matching by residue is recorded before one matching by class
+                k = min(ks, key=lambda k: normalize_exponent((p ** k + 1) // 2, q) != dn)
                 preds.append(predict_pk1_half(p, n, k))
         if p == 5 and matches((q - 3) // 2):
             preds.append(predict_5n_minus3_half(n))

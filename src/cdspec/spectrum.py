@@ -128,23 +128,26 @@ class CDiffSpectrum:
     def positive(self) -> dict[int, int]:
         return {i: w for i, w in self.omega.items() if w > 0}
 
-    def sum_omega(self) -> int:
-        return sum(self.omega.values())
-
-    def sum_i_omega(self) -> int:
-        return sum(i * w for i, w in self.omega.items())
-
-    def sum_i2_omega(self) -> int:
-        return sum(i * i * w for i, w in self.omega.items())
-
     def as_dict(self) -> dict:
         return {
             "q": self.q,
             "d": self.d,
             "c": self.c,
             "uniformity": self.uniformity,
-            "omega": {str(i): w for i, w in sorted(self.omega.items())},
+            "omega": omega_doc(self.omega),
         }
+
+
+def omega_doc(omega: dict[int, int]) -> dict[str, int]:
+    """omega as serialised: {"i": omega_i} in ascending i."""
+    return {str(i): w for i, w in sorted(omega.items())}
+
+
+def counting_identity_errors(omega: dict[int, int], q: int) -> list[str]:
+    """One message per failure of sum(omega) = q and sum(i*omega) = q."""
+    sums = {"sum(omega)": sum(omega.values()),
+            "sum(i*omega)": sum(i * w for i, w in omega.items())}
+    return [f"{name} = {total} != q = {q}" for name, total in sums.items() if total != q]
 
 
 def c_delta(case: PowerMapCase, b: int) -> int:
@@ -179,7 +182,7 @@ def c_spectrum(case: PowerMapCase) -> CDiffSpectrum:
         if counts[i]:
             omega[i] = int(counts[i])
     spec = CDiffSpectrum(q=case.ctx.q, d=case.d, c=case.c, uniformity=uniformity, omega=omega)
-    if spec.sum_omega() != spec.q or spec.sum_i_omega() != spec.q:
+    if counting_identity_errors(omega, spec.q):
         raise AssertionError(f"spectrum fails the counting identity: {spec}")
     return spec
 
@@ -229,21 +232,15 @@ def check_identities(spectrum: CDiffSpectrum, n4: Optional[int] = None) -> Ident
     """Verify sum(omega) = sum(i*omega) = q, and when a quadruple count is
     supplied, sum(i^2*omega) = (N4 - 1)/(q - 1) - gcd(d, q - 1)."""
     q = spectrum.q
-    messages = []
-    eq1_ok = True
-    if spectrum.sum_omega() != q:
-        eq1_ok = False
-        messages.append(f"sum(omega) = {spectrum.sum_omega()} != q = {q}")
-    if spectrum.sum_i_omega() != q:
-        eq1_ok = False
-        messages.append(f"sum(i*omega) = {spectrum.sum_i_omega()} != q = {q}")
+    messages = counting_identity_errors(spectrum.omega, q)
+    eq1_ok = not messages
     eq2_ok: Optional[bool] = None
     if n4 is not None:
         if spectrum.c == 1:
             messages.append("second identity undefined for c = 1; skipped")
         else:
             e = math.gcd(spectrum.d, q - 1)
-            lhs = spectrum.sum_i2_omega()
+            lhs = sum(i * i * w for i, w in spectrum.omega.items())
             eq2_ok = (n4 - 1) % (q - 1) == 0 and lhs == (n4 - 1) // (q - 1) - e
             if not eq2_ok:
                 messages.append(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -18,6 +19,8 @@ from .spectrum import (
     cyclotomic_classes,
     n4_bruteforce,
     normalize_exponent,
+    omega_doc,
+    uniformity_label,
 )
 
 MATCH = "MATCH"
@@ -189,16 +192,11 @@ def sweep_c(ctx: FieldContext, d: int, *, n4_budget: int = DEFAULT_N4_BUDGET) ->
                 eq2_ok=rep.eq2_ok, verdict=rep.verdict, matched_theorem=rep.matched_theorem,
             )
     reports = [r for r in by_c if r is not None]
-    tallies = {
-        "pcn": sum(1 for r in reports if r.computed.uniformity == 1),
-        "apcn": sum(1 for r in reports if r.computed.uniformity == 2),
-        MATCH: sum(1 for r in reports if r.verdict == MATCH),
-        MISMATCH: sum(1 for r in reports if r.verdict == MISMATCH),
-        NO_PREDICTOR: sum(1 for r in reports if r.verdict == NO_PREDICTOR),
-        PREDICTOR_INCONSISTENT: sum(
-            1 for r in reports if r.verdict == PREDICTOR_INCONSISTENT
-        ),
-    }
+    labels = Counter(uniformity_label(r.computed.uniformity) for r in reports)
+    verdicts = Counter(r.verdict for r in reports)
+    tallies = {"pcn": labels["PcN"], "apcn": labels["APcN"]}
+    for v in (MATCH, MISMATCH, NO_PREDICTOR, PREDICTOR_INCONSISTENT):
+        tallies[v] = verdicts[v]
     return SweepResult(
         p=ctx.p, n=ctx.n, modulus=ctx.modulus, d=d, reports=reports, tallies=tallies,
     )
@@ -238,7 +236,7 @@ def scan_exponents(ctx: FieldContext, c: int, max_uniformity: int) -> ScanResult
                     "d": members[0],
                     "class": members,
                     "uniformity": spec.uniformity,
-                    "omega": {str(i): w for i, w in sorted(spec.omega.items())},
+                    "omega": omega_doc(spec.omega),
                 }
             )
     return ScanResult(
@@ -277,10 +275,10 @@ class FuzzReport:
 
 
 def fuzz_identities(seed: int, count: int, budget: int = 343) -> FuzzReport:
-    """Random (p, n, d, c != 1) cases with q <= budget; both spectrum
-    identities are checked exactly, the second via the quadruple count.
-    Every draw runs that count, about q^2 element operations, so budget
-    may not exceed DEFAULT_N4_BUDGET."""
+    """Random (p, n, d, c != 1) cases with q <= budget, each run through
+    verify_with_context; both spectrum identities are checked exactly, the
+    second via the quadruple count.  Every draw runs that count, about q^2
+    element operations, so budget may not exceed DEFAULT_N4_BUDGET."""
     if count < 0:
         raise ValueError(f"fuzz count must be >= 0, got {count}")
     if budget < 4:
@@ -289,6 +287,9 @@ def fuzz_identities(seed: int, count: int, budget: int = 343) -> FuzzReport:
         raise BudgetExceeded(
             f"fuzz budget {budget} exceeds {DEFAULT_N4_BUDGET}: every draw runs "
             "the quadruple count")
+    # q = 2 leaves no exponent in [1, q-2], so p = 2 starts at n = 2; a
+    # prime whose smallest field exceeds the budget is not drawn
+    primes = [p for p in _FUZZ_PRIMES if p ** (2 if p == 2 else 1) <= budget]
     rng = SplitMix64(seed)
     ctx_cache: dict[tuple[int, int], FieldContext] = {}
     cases = []
@@ -296,8 +297,8 @@ def fuzz_identities(seed: int, count: int, budget: int = 343) -> FuzzReport:
     has_char2 = False
     has_gcd = False
     for _ in range(count):
-        p = _FUZZ_PRIMES[rng.below(len(_FUZZ_PRIMES))]
-        n_min = 2 if p == 2 else 1  # q = 2 leaves no exponent in [1, q-2]
+        p = primes[rng.below(len(primes))]
+        n_min = 2 if p == 2 else 1
         n_max = n_min
         while p ** (n_max + 1) <= budget:
             n_max += 1
@@ -310,24 +311,15 @@ def fuzz_identities(seed: int, count: int, budget: int = 343) -> FuzzReport:
         if ctx is None:
             ctx = build_context(FieldSpec(p, n))
             ctx_cache[(p, n)] = ctx
-        case = PowerMapCase(ctx, d, c)
-        spec = c_spectrum(case)
-        n4 = n4_bruteforce(case)
-        rep = check_identities(spec, n4)
-        entry = {
-            "p": p,
-            "n": n,
-            "d": case.d,
-            "c": c,
-            "n4": n4,
-            "eq1": rep.eq1_ok,
-            "eq2": rep.eq2_ok,
-        }
+        # q <= budget <= DEFAULT_N4_BUDGET and c != 1, so N4 always runs
+        rep = verify_with_context(ctx, d, c)
+        entry = {"p": p, "n": n, "d": rep.d, "c": c, "n4": rep.n4,
+                 "eq1": rep.eq1_ok, "eq2": rep.eq2_ok}
         cases.append(entry)
         if not (rep.eq1_ok and rep.eq2_ok):
             failures.append(entry)
         has_char2 = has_char2 or p == 2
-        has_gcd = has_gcd or math.gcd(case.d, q - 1) > 1
+        has_gcd = has_gcd or math.gcd(rep.d, q - 1) > 1
     return FuzzReport(
         seed=seed,
         count=count,

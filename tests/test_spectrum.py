@@ -199,8 +199,8 @@ def test_every_spectrum_satisfies_counting_identity():
             d = 1 + rng.below(ctx.q - 2)
             c = rng.below(ctx.q)
             spec = c_spectrum(PowerMapCase(ctx, d, c))
-            assert spec.sum_omega() == ctx.q
-            assert spec.sum_i_omega() == ctx.q
+            assert sum(spec.omega.values()) == ctx.q
+            assert sum(i * w for i, w in spec.omega.items()) == ctx.q
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +312,9 @@ def test_check_identities_tampered():
     bad = CDiffSpectrum(q=5, d=3, c=4, uniformity=2, omega={1: 5, 2: 1})
     rep = check_identities(bad)
     assert not rep.eq1_ok
-    assert rep.messages
+    assert rep.messages == ["sum(omega) = 6 != q = 5", "sum(i*omega) = 7 != q = 5"]
+    off_by_one = CDiffSpectrum(q=5, d=3, c=4, uniformity=2, omega={0: 1, 1: 1, 2: 2})
+    assert check_identities(off_by_one).messages == ["sum(omega) = 4 != q = 5"]
 
 
 def test_check_identities_c1_skips_eq2():

@@ -375,3 +375,8 @@ def test_fuzz_respects_budget_and_c_ne_1():
         assert case["p"] ** case["n"] <= 81
         assert case["c"] != 1
         assert 1 <= case["d"] <= case["p"] ** case["n"] - 2
+    # below 13 some primes have no field within the budget
+    for budget in range(4, 14):
+        for seed in (1, 2, 3):
+            for case in fuzz_identities(seed=seed, count=12, budget=budget).cases:
+                assert case["p"] ** case["n"] <= budget, (budget, seed, case)
