@@ -158,22 +158,20 @@ def _eq_str(value) -> str:
 
 
 def _verify_csv_rows(reports) -> list[list]:
+    # A sweep repeats one modulus and a few spectra: format each cell once.
+    moduli: dict = {}
+    omegas: dict = {}
     rows = []
     for r in reports:
-        rows.append(
-            [
-                r.p,
-                r.n,
-                ",".join(str(c) for c in r.modulus),
-                r.d,
-                r.c,
-                r.verdict,
-                r.computed.uniformity,
-                _omega_json(r.computed.omega),
-                _eq_str(r.eq1_ok),
-                _eq_str(r.eq2_ok),
-            ]
-        )
+        modulus = moduli.get(r.modulus)
+        if modulus is None:
+            modulus = moduli[r.modulus] = ",".join(str(c) for c in r.modulus)
+        key = tuple(r.computed.omega.items())
+        omega = omegas.get(key)
+        if omega is None:
+            omega = omegas[key] = _omega_json(r.computed.omega)
+        rows.append([r.p, r.n, modulus, r.d, r.c, r.verdict, r.computed.uniformity,
+                     omega, _eq_str(r.eq1_ok), _eq_str(r.eq2_ok)])
     return rows
 
 

@@ -64,22 +64,31 @@ class VerifyReport:
     matched_theorem: Optional[str]
 
     def as_dict(self) -> dict:
-        return {
-            "case": {
-                "p": self.p,
-                "n": self.n,
-                "modulus": list(self.modulus),
-                "d": self.d,
-                "c": self.c,
-            },
-            "computed": self.computed.as_dict(),
-            "predictions": [pr.as_dict() for pr in self.predictions],
-            "n4": self.n4,
-            "eq1": self.eq1_ok,
-            "eq2": self.eq2_ok,
-            "verdict": self.verdict,
-            "matched": self.matched_theorem,
-        }
+        return _report_doc(self, {}, {})
+
+
+def _report_doc(r: VerifyReport, omega_docs: dict, pred_docs: dict) -> dict:
+    """r.as_dict(), reusing the omega and prediction documents the caches hold."""
+    spec = r.computed
+    okey = tuple(spec.omega.items())
+    omega = omega_docs.get(okey)
+    if omega is None:
+        omega = omega_docs[okey] = omega_doc(spec.omega)
+    pkey = tuple(map(id, r.predictions))
+    preds = pred_docs.get(pkey)
+    if preds is None:
+        preds = pred_docs[pkey] = [pr.as_dict() for pr in r.predictions]
+    return {
+        "case": {"p": r.p, "n": r.n, "modulus": list(r.modulus), "d": r.d, "c": r.c},
+        "computed": {"q": spec.q, "d": spec.d, "c": spec.c,
+                     "uniformity": spec.uniformity, "omega": omega},
+        "predictions": preds,
+        "n4": r.n4,
+        "eq1": r.eq1_ok,
+        "eq2": r.eq2_ok,
+        "verdict": r.verdict,
+        "matched": r.matched_theorem,
+    }
 
 
 def verify_with_context(
@@ -97,18 +106,7 @@ def verify_with_context(
     if c != 1 and ctx.q <= n4_budget:
         n4 = n4_bruteforce(case, budget=n4_budget)
     idrep = check_identities(computed, n4)
-    target = computed.positive()
-    matched = next(
-        (pr for pr in preds if pr.consistent and pr.positive() == target), None
-    )
-    if not preds:
-        verdict = NO_PREDICTOR
-    elif matched is not None:
-        verdict = MATCH
-    elif all(not pr.consistent for pr in preds):
-        verdict = PREDICTOR_INCONSISTENT
-    else:
-        verdict = MISMATCH
+    verdict, matched = _judge(computed, preds)
     return VerifyReport(
         p=ctx.p,
         n=ctx.n,
@@ -121,8 +119,25 @@ def verify_with_context(
         eq1_ok=idrep.eq1_ok,
         eq2_ok=idrep.eq2_ok,
         verdict=verdict,
-        matched_theorem=matched.theorem.value if matched else None,
+        matched_theorem=matched,
     )
+
+
+def _judge(computed: CDiffSpectrum, preds: list[SpectrumPrediction]) -> tuple[str, Optional[str]]:
+    """The verdict, and the theorem of the first consistent matching prediction or None."""
+    target = computed.positive()
+    matched = next(
+        (pr for pr in preds if pr.consistent and pr.positive() == target), None
+    )
+    if not preds:
+        verdict = NO_PREDICTOR
+    elif matched is not None:
+        verdict = MATCH
+    elif all(not pr.consistent for pr in preds):
+        verdict = PREDICTOR_INCONSISTENT
+    else:
+        verdict = MISMATCH
+    return verdict, matched.theorem.value if matched else None
 
 
 def verify_case(
@@ -148,57 +163,81 @@ class SweepResult:
     tallies: dict[str, int]
 
     def as_dict(self) -> dict:
+        """The sweep document.  Its reports share one omega document per distinct
+        omega and one prediction-document list per list of the same predictions:
+        an edit to one report's sub-document shows in others."""
+        omega_docs: dict = {}
+        pred_docs: dict = {}
         return {
             "case": {"p": self.p, "n": self.n, "modulus": list(self.modulus), "d": self.d},
             "tallies": self.tallies,
-            "reports": [r.as_dict() for r in self.reports],
+            "reports": [_report_doc(r, omega_docs, pred_docs) for r in self.reports],
         }
 
 
 def sweep_c(ctx: FieldContext, d: int, *, n4_budget: int = DEFAULT_N4_BUDGET) -> SweepResult:
     """One verify report per c in GF(q) except c = 1, in ascending c.
 
-    The spectrum, the quadruple count, the identities and the predictions
-    are computed once per Frobenius orbit {c, c^p, c^(p^2), ...} and copied
-    to every member.  The result is the same as verifying each c: the
-    bijection x -> x^p maps Delta_c(x) = b to Delta_{c^p}(x^p) = b^p, and
-    the quadruples of (d, c) to those of (d, c^p), so omega and N4 agree
-    on the orbit.  The dispatcher reads c only through Tr(c), Tr(1/c),
-    chi of c^2 - 4c, 1 - 4c and c, and equality with the prime-field
-    constants 0, 1, 4, 1/4 and -1, all fixed by x -> x^p.
+    The spectrum, the quadruple count and the identities are computed once
+    per orbit of c under Frobenius c -> c^p and inversion c -> 1/c, the
+    predictions once per Frobenius orbit, and every member gets its own
+    copy.  The result is the same as verifying each c.  Frobenius: x -> x^p
+    maps Delta_c(x) = b to Delta_{c^p}(x^p) = b^p, and the quadruples of
+    (d, c) to those of (d, c^p), so omega and N4 agree on the orbit.  The
+    dispatcher reads c only through Tr(c), Tr(1/c), chi of c^2 - 4c, 1 - 4c
+    and c, and equality with the prime-field constants 0, 1, 4, 1/4 and -1,
+    all fixed by x -> x^p.  Inversion: Delta_c(-1 - y) =
+    -c*(-1)^d*Delta_{1/c}(y), a fixed nonzero multiple, so c and 1/c share
+    omega; dividing the power equation of a quadruple of (d, c) by c and
+    swapping (x1, x2, x3, x4) -> (x2, x1, x4, x3) gives one of (d, 1/c), so
+    N4 agrees too.  Inversion swaps Tr(c) with Tr(1/c) and chi(c^2 - 4c)
+    with chi(1 - 4c), so the dispatcher runs again for the orbit of 1/c.
 
     The quadruple count runs once per orbit when q fits n4_budget, which
     multiplies the sweep cost by about q; n4_budget=0 skips it.
     """
     d = normalize_exponent(d, ctx.q)
     order = ctx.q - 1
-    # c = 0 is its own orbit; c = g^m runs over the class of m under
-    # m -> p*m mod (q-1), whose residue 0 (the member q - 1) is c = 1.
-    orbits = [[0]] + [
-        [int(ctx.exp[m % order]) for m in members]
-        for members in cyclotomic_classes(ctx.p, ctx.q)
-        if members != [order]
-    ]
     by_c: list[Optional[VerifyReport]] = [None] * ctx.q
-    for orbit in orbits:
-        rep = verify_with_context(ctx, d, orbit[0], n4_budget=n4_budget)
-        spec = rep.computed
+    by_c[0] = verify_with_context(ctx, d, 0, n4_budget=n4_budget)  # its own orbit
+    labels = Counter([uniformity_label(by_c[0].computed.uniformity)])
+    verdicts = Counter([by_c[0].verdict])
+    # c = g^m runs over the class M of m under m -> p*m mod (q-1); the class
+    # [q - 1] is c = 1.  1/c runs over the class (q-1) - M, whose smallest member
+    # (q-1) - max(M) was computed already if below min(M): classes come in order.
+    pending: dict[int, tuple] = {}
+    for members in cyclotomic_classes(ctx.p, ctx.q):
+        if members == [order]:
+            continue
+        orbit = [int(ctx.exp[m]) for m in members]
+        partner = order - members[-1]
+        if partner < members[0]:
+            spec, n4, idrep = pending.pop(partner)
+        else:
+            case = PowerMapCase(ctx, d, orbit[0])
+            spec = c_spectrum(case)
+            n4 = n4_bruteforce(case, budget=n4_budget) if ctx.q <= n4_budget else None
+            idrep = check_identities(spec, n4)
+            if partner > members[0]:
+                pending[members[0]] = spec, n4, idrep
+        preds = dispatch(ctx, d, orbit[0])
+        verdict, matched = _judge(spec, preds)
         for c in orbit:
             by_c[c] = VerifyReport(
-                p=rep.p, n=rep.n, modulus=rep.modulus, d=d, c=c,
+                p=ctx.p, n=ctx.n, modulus=ctx.modulus, d=d, c=c,
                 computed=CDiffSpectrum(q=spec.q, d=d, c=c, uniformity=spec.uniformity,
                                        omega=dict(spec.omega)),
-                predictions=list(rep.predictions), n4=rep.n4, eq1_ok=rep.eq1_ok,
-                eq2_ok=rep.eq2_ok, verdict=rep.verdict, matched_theorem=rep.matched_theorem,
+                predictions=list(preds), n4=n4, eq1_ok=idrep.eq1_ok,
+                eq2_ok=idrep.eq2_ok, verdict=verdict, matched_theorem=matched,
             )
-    reports = [r for r in by_c if r is not None]
-    labels = Counter(uniformity_label(r.computed.uniformity) for r in reports)
-    verdicts = Counter(r.verdict for r in reports)
+        labels[uniformity_label(spec.uniformity)] += len(orbit)
+        verdicts[verdict] += len(orbit)
     tallies = {"pcn": labels["PcN"], "apcn": labels["APcN"]}
     for v in (MATCH, MISMATCH, NO_PREDICTOR, PREDICTOR_INCONSISTENT):
         tallies[v] = verdicts[v]
     return SweepResult(
-        p=ctx.p, n=ctx.n, modulus=ctx.modulus, d=d, reports=reports, tallies=tallies,
+        p=ctx.p, n=ctx.n, modulus=ctx.modulus, d=d,
+        reports=[r for r in by_c if r is not None], tallies=tallies,
     )
 
 

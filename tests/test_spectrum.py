@@ -17,7 +17,7 @@ from cdspec import (
     normalize_exponent,
 )
 from cdspec import spectrum
-from cdspec.spectrum import CDiffSpectrum, uniformity_label
+from cdspec.spectrum import CDiffSpectrum, cyclotomic_classes, uniformity_label
 from cdspec.verifier import SplitMix64
 
 from conftest import get_ctx, odd_fields
@@ -358,6 +358,28 @@ def test_involution_parity_even_d_c_minus_one():
             mask = np.ones(ctx.q, dtype=bool)
             mask[b_star] = False
             assert not np.any(hist[mask] % 2)
+
+
+_INVERSION_FIELDS = [(2, n) for n in range(1, 7)] + odd_fields(0, 81)
+
+
+@pytest.mark.parametrize("p,n", _INVERSION_FIELDS, ids=[f"{p}^{n}" for p, n in _INVERSION_FIELDS])
+def test_inversion_symmetry_of_delta(p, n):
+    """x = -1 - y gives Delta_c(-1-y) = -c*(-1)^d*Delta_{1/c}(y), so (d, c)
+    and (d, 1/c) share omega and N4; sweep_c computes one of each pair."""
+    ctx = get_ctx(p, n)
+    q = ctx.q
+    reflect = ctx.vec_sub(ctx.neg_one, np.arange(q))  # y -> -1 - y
+    for members in cyclotomic_classes(p, q):
+        d = members[0]
+        sign = ctx.pow(ctx.neg_one, d)
+        for c in range(1, q):
+            case, partner = PowerMapCase(ctx, d, c), PowerMapCase(ctx, d, ctx.inv(c))
+            scaled = ctx.vec_scale(partner.delta_values(), ctx.neg(ctx.mul(c, sign)))
+            assert np.array_equal(case.delta_values()[reflect], scaled), (p, n, d, c)
+            assert c_spectrum(case).omega == c_spectrum(partner).omega, (p, n, d, c)
+            if partner.c >= c:  # N4 once per pair
+                assert n4_bruteforce(case) == n4_bruteforce(partner), (p, n, d, c)
 
 
 def _field_sqrt(ctx, s):

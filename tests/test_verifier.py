@@ -263,6 +263,45 @@ def test_sweep_reports_share_no_mutable_state():
     assert by_c[orbit[1]].predictions and by_c[orbit[1]].computed.omega
 
 
+def _assert_inverse_orbit_dispatched(ctx, theorem, names, key):
+    """For the first c with key(c) = (a, b), a != b: c and 1/c share omega
+    but not the omega dict, and inversion swaps the two conditions."""
+    c = next(c for c in range(2, ctx.q) if len(set(key(c))) == 2)
+    assert ctx.inv(c) not in {ctx.pow(c, ctx.p ** i) for i in range(ctx.n)}
+    result = sweep_c(ctx, ctx.q - 2, n4_budget=0)
+    by_c = {r.c: r for r in result.reports}
+    rep, inv_rep = by_c[c], by_c[ctx.inv(c)]
+    assert rep.computed.omega == inv_rep.computed.omega
+    assert rep.computed.omega is not inv_rep.computed.omega
+    a, b = key(c)
+    for r, expected in ((rep, (a, b)), (inv_rep, (b, a))):
+        (pred,) = [pr for pr in r.predictions if pr.theorem == theorem]
+        conditions = dict(pred.conditions)
+        assert (conditions[names[0]], conditions[names[1]]) == expected, r.c
+        assert r.verdict == MATCH and r.matched_theorem == theorem.value
+        doc = r.as_dict()
+        assert doc["computed"] == r.computed.as_dict()
+        assert doc["predictions"] == [pr.as_dict() for pr in r.predictions]
+        assert doc in result.as_dict()["reports"]
+
+
+def test_sweep_dispatches_the_inverse_orbit_odd():
+    ctx = get_ctx(3, 4)
+    four = 4 % ctx.p
+
+    def chis(c):
+        return (ctx.chi(ctx.sub(ctx.mul(c, c), ctx.mul(four, c))),
+                ctx.chi(ctx.sub(1, ctx.mul(four, c))))
+
+    _assert_inverse_orbit_dispatched(ctx, TheoremId.INV_ODD, ("chi_c2_4c", "chi_1_4c"), chis)
+
+
+def test_sweep_dispatches_the_inverse_orbit_char2():
+    ctx = get_ctx(2, 5)
+    _assert_inverse_orbit_dispatched(ctx, TheoremId.INV_CHAR2, ("tr_c", "tr_c_inv"),
+                                     lambda c: (ctx.trace(c), ctx.trace(ctx.inv(c))))
+
+
 def test_sweep_reports_the_reduced_exponent():
     result = sweep_c(get_ctx(3, 2), 6 + 8, n4_budget=0)
     assert result.d == 6 and {r.d for r in result.reports} == {6}
