@@ -147,29 +147,29 @@ def _emit(args, text: str) -> None:
         raise ParseError(f"cannot write --out {args.out!r}: {exc.strerror or exc}") from exc
 
 
-def _omega_json(omega: dict[int, int]) -> str:
-    return _canonical(omega_doc(omega))
-
-
 def _eq_str(value) -> str:
     if value is None:
         return "skipped"
     return "true" if value else "false"
 
 
-def _verify_csv_rows(reports) -> list[list]:
-    # A sweep repeats one modulus and a few spectra: format each cell once.
-    moduli: dict = {}
-    omegas: dict = {}
-    rows = []
+def _omega_texts(reports) -> list[str]:
+    """Each report's omega as canonical JSON.  A sweep has a few distinct
+    spectra, so each is formatted once."""
+    texts: dict = {}
+    out = []
     for r in reports:
-        modulus = moduli.get(r.modulus)
-        if modulus is None:
-            modulus = moduli[r.modulus] = ",".join(str(c) for c in r.modulus)
         key = tuple(r.computed.omega.items())
-        omega = omegas.get(key)
-        if omega is None:
-            omega = omegas[key] = _omega_json(r.computed.omega)
+        if key not in texts:
+            texts[key] = _canonical(omega_doc(r.computed.omega))
+        out.append(texts[key])
+    return out
+
+
+def _verify_csv_rows(ctx: FieldContext, reports) -> list[list]:
+    modulus = ",".join(map(str, ctx.modulus))
+    rows = []
+    for r, omega in zip(reports, _omega_texts(reports)):
         rows.append([r.p, r.n, modulus, r.d, r.c, r.verdict, r.computed.uniformity,
                      omega, _eq_str(r.eq1_ok), _eq_str(r.eq2_ok)])
     return rows
@@ -204,7 +204,7 @@ def cmd_spectrum(args) -> int:
         _emit(args, _csv_text(
             ["p", "n", "modulus", "d", "c", "uniformity", "class", "omega_json"],
             [[ctx.p, ctx.n, ",".join(map(str, ctx.modulus)), case.d, c, u, label,
-              _omega_json(spec.omega)]],
+              _canonical(payload["omega"])]],
         ))
     else:
         lines = [
@@ -225,7 +225,7 @@ def cmd_verify(args) -> int:
     if args.format == "json":
         _emit(args, to_json(report.as_dict()))
     elif args.format == "csv":
-        _emit(args, _csv_text(_VERIFY_CSV_HEADER, _verify_csv_rows([report])))
+        _emit(args, _csv_text(_VERIFY_CSV_HEADER, _verify_csv_rows(ctx, [report])))
     else:
         lines = [
             f"GF({ctx.p}^{ctx.n}) d = {report.d} c = {c}: {report.verdict}",
@@ -254,17 +254,14 @@ def cmd_sweep(args) -> int:
     if args.format == "json":
         _emit(args, to_json(result.as_dict()))
     elif args.format == "csv":
-        _emit(args, _csv_text(_VERIFY_CSV_HEADER, _verify_csv_rows(result.reports)))
+        _emit(args, _csv_text(_VERIFY_CSV_HEADER, _verify_csv_rows(ctx, result.reports)))
     else:
         lines = [
             f"GF({result.p}^{result.n}) d = {result.d}: sweep over {len(result.reports)} c values",
             "tallies: " + ", ".join(f"{k}={v}" for k, v in result.tallies.items()),
         ]
-        for r in result.reports:
-            lines.append(
-                f"  c={r.c}: {r.verdict}, uniformity={r.computed.uniformity}, "
-                + _omega_json(r.computed.omega)
-            )
+        for r, omega in zip(result.reports, _omega_texts(result.reports)):
+            lines.append(f"  c={r.c}: {r.verdict}, uniformity={r.computed.uniformity}, {omega}")
         _emit(args, "\n".join(lines) + "\n")
     if result.tallies[verifier.MISMATCH]:
         return EXIT_MISMATCH

@@ -99,33 +99,26 @@ def verify_with_context(
     Zero-count entries are ignored in the comparison.  The quadruple-count
     identity is checked when c != 1 and q fits the budget, else skipped.
     """
+    d = normalize_exponent(d, ctx.q)
+    (report,) = _reports(ctx, d, [c], _measure(ctx, d, c, n4_budget), dispatch(ctx, d, c))
+    return report
+
+
+def _measure(ctx: FieldContext, d: int, c: int, n4_budget: int) -> tuple:
+    """The spectrum of x^d at c, its quadruple count when c != 1 and q fits
+    n4_budget (else None), and the identity check of both."""
     case = PowerMapCase(ctx, d, c)
-    computed = c_spectrum(case)
-    preds = dispatch(ctx, case.d, c)
-    n4 = None
-    if c != 1 and ctx.q <= n4_budget:
-        n4 = n4_bruteforce(case, budget=n4_budget)
-    idrep = check_identities(computed, n4)
-    verdict, matched = _judge(computed, preds)
-    return VerifyReport(
-        p=ctx.p,
-        n=ctx.n,
-        modulus=ctx.modulus,
-        d=case.d,
-        c=c,
-        computed=computed,
-        predictions=preds,
-        n4=n4,
-        eq1_ok=idrep.eq1_ok,
-        eq2_ok=idrep.eq2_ok,
-        verdict=verdict,
-        matched_theorem=matched,
-    )
+    spec = c_spectrum(case)
+    n4 = n4_bruteforce(case, budget=n4_budget) if c != 1 and ctx.q <= n4_budget else None
+    return spec, n4, check_identities(spec, n4)
 
 
-def _judge(computed: CDiffSpectrum, preds: list[SpectrumPrediction]) -> tuple[str, Optional[str]]:
-    """The verdict, and the theorem of the first consistent matching prediction or None."""
-    target = computed.positive()
+def _reports(ctx: FieldContext, d: int, orbit: list[int], measured: tuple,
+             preds: list[SpectrumPrediction]) -> list[VerifyReport]:
+    """One report per c in orbit, each with its own copy of the spectrum and
+    predictions, from _measure and dispatch at one member of the orbit."""
+    spec, n4, idrep = measured
+    target = spec.positive()
     matched = next(
         (pr for pr in preds if pr.consistent and pr.positive() == target), None
     )
@@ -137,7 +130,17 @@ def _judge(computed: CDiffSpectrum, preds: list[SpectrumPrediction]) -> tuple[st
         verdict = PREDICTOR_INCONSISTENT
     else:
         verdict = MISMATCH
-    return verdict, matched.theorem.value if matched else None
+    theorem = matched.theorem.value if matched else None
+    return [
+        VerifyReport(
+            p=ctx.p, n=ctx.n, modulus=ctx.modulus, d=d, c=c,
+            computed=CDiffSpectrum(q=spec.q, d=d, c=c, uniformity=spec.uniformity,
+                                   omega=dict(spec.omega)),
+            predictions=list(preds), n4=n4, eq1_ok=idrep.eq1_ok,
+            eq2_ok=idrep.eq2_ok, verdict=verdict, matched_theorem=theorem,
+        )
+        for c in orbit
+    ]
 
 
 def verify_case(
@@ -193,45 +196,36 @@ def sweep_c(ctx: FieldContext, d: int, *, n4_budget: int = DEFAULT_N4_BUDGET) ->
     N4 agrees too.  Inversion swaps Tr(c) with Tr(1/c) and chi(c^2 - 4c)
     with chi(1 - 4c), so the dispatcher runs again for the orbit of 1/c.
 
+    c = 0 is its own orbit.  The Frobenius orbit of c = g^m is the class M
+    of m under m -> p*m mod (q-1), and that of 1/c is (q-1) - M: the two are
+    handled in one step, at the one whose smallest member comes first.
+
     The quadruple count runs once per orbit when q fits n4_budget, which
     multiplies the sweep cost by about q; n4_budget=0 skips it.
     """
     d = normalize_exponent(d, ctx.q)
     order = ctx.q - 1
     by_c: list[Optional[VerifyReport]] = [None] * ctx.q
-    by_c[0] = verify_with_context(ctx, d, 0, n4_budget=n4_budget)  # its own orbit
-    labels = Counter([uniformity_label(by_c[0].computed.uniformity)])
-    verdicts = Counter([by_c[0].verdict])
-    # c = g^m runs over the class M of m under m -> p*m mod (q-1); the class
-    # [q - 1] is c = 1.  1/c runs over the class (q-1) - M, whose smallest member
-    # (q-1) - max(M) was computed already if below min(M): classes come in order.
-    pending: dict[int, tuple] = {}
+    labels: Counter = Counter()
+    verdicts: Counter = Counter()
+
+    def add(orbit: list[int], measured: tuple) -> None:
+        reports = _reports(ctx, d, orbit, measured, dispatch(ctx, d, orbit[0]))
+        for r in reports:
+            by_c[r.c] = r
+        labels[uniformity_label(measured[0].uniformity)] += len(orbit)
+        verdicts[reports[0].verdict] += len(orbit)
+
+    add([0], _measure(ctx, d, 0, n4_budget))
     for members in cyclotomic_classes(ctx.p, ctx.q):
-        if members == [order]:
-            continue
+        partner = order - members[-1]  # smallest member of (q-1) - M
+        if members == [order] or partner < members[0]:
+            continue  # c = 1, or a class handled with its partner
         orbit = [int(ctx.exp[m]) for m in members]
-        partner = order - members[-1]
-        if partner < members[0]:
-            spec, n4, idrep = pending.pop(partner)
-        else:
-            case = PowerMapCase(ctx, d, orbit[0])
-            spec = c_spectrum(case)
-            n4 = n4_bruteforce(case, budget=n4_budget) if ctx.q <= n4_budget else None
-            idrep = check_identities(spec, n4)
-            if partner > members[0]:
-                pending[members[0]] = spec, n4, idrep
-        preds = dispatch(ctx, d, orbit[0])
-        verdict, matched = _judge(spec, preds)
-        for c in orbit:
-            by_c[c] = VerifyReport(
-                p=ctx.p, n=ctx.n, modulus=ctx.modulus, d=d, c=c,
-                computed=CDiffSpectrum(q=spec.q, d=d, c=c, uniformity=spec.uniformity,
-                                       omega=dict(spec.omega)),
-                predictions=list(preds), n4=n4, eq1_ok=idrep.eq1_ok,
-                eq2_ok=idrep.eq2_ok, verdict=verdict, matched_theorem=matched,
-            )
-        labels[uniformity_label(spec.uniformity)] += len(orbit)
-        verdicts[verdict] += len(orbit)
+        measured = _measure(ctx, d, orbit[0], n4_budget)
+        add(orbit, measured)
+        if partner > members[0]:
+            add([int(ctx.exp[order - m]) for m in reversed(members)], measured)
     tallies = {"pcn": labels["PcN"], "apcn": labels["APcN"]}
     for v in (MATCH, MISMATCH, NO_PREDICTOR, PREDICTOR_INCONSISTENT):
         tallies[v] = verdicts[v]
@@ -288,13 +282,28 @@ _FUZZ_PRIMES = (2, 3, 5, 7, 11, 13)
 
 @dataclass
 class FuzzReport:
+    """A fuzz run's seed, budget and cases; the other fields are derived
+    from the cases."""
+
     seed: int
-    count: int
     budget: int
     cases: list[dict]
-    failures: list[dict]
-    has_char2_case: bool
-    has_gcd_gt1_case: bool
+
+    @property
+    def count(self) -> int:
+        return len(self.cases)
+
+    @property
+    def failures(self) -> list[dict]:
+        return [case for case in self.cases if not (case["eq1"] and case["eq2"])]
+
+    @property
+    def has_char2_case(self) -> bool:
+        return any(case["p"] == 2 for case in self.cases)
+
+    @property
+    def has_gcd_gt1_case(self) -> bool:
+        return any(math.gcd(case["d"], case["p"] ** case["n"] - 1) > 1 for case in self.cases)
 
     @property
     def all_ok(self) -> bool:
@@ -332,9 +341,6 @@ def fuzz_identities(seed: int, count: int, budget: int = 343) -> FuzzReport:
     rng = SplitMix64(seed)
     ctx_cache: dict[tuple[int, int], FieldContext] = {}
     cases = []
-    failures = []
-    has_char2 = False
-    has_gcd = False
     for _ in range(count):
         p = primes[rng.below(len(primes))]
         n_min = 2 if p == 2 else 1
@@ -352,19 +358,6 @@ def fuzz_identities(seed: int, count: int, budget: int = 343) -> FuzzReport:
             ctx_cache[(p, n)] = ctx
         # q <= budget <= DEFAULT_N4_BUDGET and c != 1, so N4 always runs
         rep = verify_with_context(ctx, d, c)
-        entry = {"p": p, "n": n, "d": rep.d, "c": c, "n4": rep.n4,
-                 "eq1": rep.eq1_ok, "eq2": rep.eq2_ok}
-        cases.append(entry)
-        if not (rep.eq1_ok and rep.eq2_ok):
-            failures.append(entry)
-        has_char2 = has_char2 or p == 2
-        has_gcd = has_gcd or math.gcd(rep.d, q - 1) > 1
-    return FuzzReport(
-        seed=seed,
-        count=count,
-        budget=budget,
-        cases=cases,
-        failures=failures,
-        has_char2_case=has_char2,
-        has_gcd_gt1_case=has_gcd,
-    )
+        cases.append({"p": p, "n": n, "d": rep.d, "c": c, "n4": rep.n4,
+                      "eq1": rep.eq1_ok, "eq2": rep.eq2_ok})
+    return FuzzReport(seed=seed, budget=budget, cases=cases)

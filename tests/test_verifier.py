@@ -1,7 +1,11 @@
+import csv
+import io
+import json
 import math
 
 import pytest
 
+from cdspec import cli, verifier
 from cdspec import (
     BudgetExceeded,
     find_irreducible,
@@ -310,6 +314,30 @@ def test_sweep_reports_the_reduced_exponent():
         sweep_c(get_ctx(3, 2), 0)
 
 
+_WORK_FIELDS = [(2, 5), (2, 6), (3, 1), (3, 4), (5, 3), (7, 2), (13, 2)]
+
+
+@pytest.mark.parametrize("p,n", _WORK_FIELDS, ids=[f"{p}^{n}" for p, n in _WORK_FIELDS])
+def test_sweep_computes_once_per_orbit(p, n, monkeypatch):
+    """c = 0, then one spectrum per orbit of GF(q)* minus 1 under c -> c^p and
+    c -> 1/c, and one dispatch per orbit under c -> c^p alone: the bytes do
+    not show whether a sweep shares a spectrum across inversion, this does."""
+    calls = {"c_spectrum": 0, "dispatch": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(verifier, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(verifier, name, counted)
+    ctx = get_ctx(p, n)
+    sweep_c(ctx, ctx.q - 2, n4_budget=0)
+    frobenius, both = set(), set()
+    for c in range(2, ctx.q):
+        orbit = frozenset(ctx.pow(c, p ** i) for i in range(n))
+        frobenius.add(orbit)
+        both.add(orbit | {ctx.inv(x) for x in orbit})
+    assert calls == {"c_spectrum": 1 + len(both), "dispatch": 1 + len(frobenius)}
+
+
 # ---------------------------------------------------------------------------
 # scan_exponents
 # ---------------------------------------------------------------------------
@@ -419,3 +447,41 @@ def test_fuzz_respects_budget_and_c_ne_1():
         for seed in (1, 2, 3):
             for case in fuzz_identities(seed=seed, count=12, budget=budget).cases:
                 assert case["p"] ** case["n"] <= budget, (budget, seed, case)
+
+
+def _fail_second_draw(monkeypatch):
+    """Make the second of every three verifies report eq2 = False: the second
+    draw of each three-case fuzz run."""
+    real = verifier.verify_with_context
+    draws = []
+
+    def flaky(*args, **kwargs):
+        rep = real(*args, **kwargs)
+        draws.append(rep)
+        if len(draws) % 3 == 2:
+            rep.eq2_ok = False
+        return rep
+
+    monkeypatch.setattr(verifier, "verify_with_context", flaky)
+
+
+def test_fuzz_reports_a_failing_draw(monkeypatch, capsys):
+    _fail_second_draw(monkeypatch)
+    report = fuzz_identities(seed=1, count=3, budget=49)
+    assert report.cases[1]["eq2"] is False
+    assert report.failures == [report.cases[1]]
+    assert report.all_ok is False
+    assert report.as_dict()["passes"] == report.count - 1 == 2
+
+    argv = ["fuzz", "--count", "3", "--budget-q", "49", "--format"]
+    assert cli.main(argv + ["text"]) == cli.EXIT_MISMATCH
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith(": 2/3 passed")
+    assert [line for line in lines if line.startswith("  FAIL ")] == [
+        f"  FAIL {report.cases[1]}"]
+    assert cli.main(argv + ["json"]) == cli.EXIT_MISMATCH
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["failures"] == [doc["cases"][1]] == [report.cases[1]]
+    assert cli.main(argv + ["csv"]) == cli.EXIT_MISMATCH
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [r["eq2"] for r in rows] == ["true", "false", "true"]
