@@ -2,7 +2,8 @@
 
 All numeric output is exact integers.  JSON uses sorted keys and compact
 separators so that parse + re-serialise is byte-identical; CSV and text
-carry the same numbers.
+carry the same numbers.  Each subcommand hands its three output forms to
+_render, the one place where --format is read and the output is written.
 """
 
 from __future__ import annotations
@@ -147,13 +148,30 @@ def _emit(args, text: str) -> None:
         raise ParseError(f"cannot write --out {args.out!r}: {exc.strerror or exc}") from exc
 
 
+def _render(args, doc, table, lines) -> None:
+    """Write the output form --format names: json from doc(), csv from the
+    (header, rows) of table(), text from the lines of lines().  Only the
+    chosen callable runs."""
+    if args.format == "json":
+        text = to_json(doc())
+    elif args.format == "csv":
+        text = _csv_text(*table())
+    else:
+        text = "\n".join(lines()) + "\n"
+    _emit(args, text)
+
+
 def _eq_str(value) -> str:
     if value is None:
         return "skipped"
     return "true" if value else "false"
 
 
-def _omega_texts(reports) -> list[str]:
+def _omega_text(omega: dict[int, int]) -> str:
+    return ", ".join(f"{i}:{w}" for i, w in sorted(omega.items()))
+
+
+def _omega_jsons(reports) -> list[str]:
     """Each report's omega as canonical JSON.  A sweep has a few distinct
     spectra, so each is formatted once."""
     texts: dict = {}
@@ -166,17 +184,14 @@ def _omega_texts(reports) -> list[str]:
     return out
 
 
-def _verify_csv_rows(ctx: FieldContext, reports) -> list[list]:
+def _verify_table(ctx: FieldContext, reports) -> tuple[list[str], list[list]]:
+    """The verify/sweep CSV header and one row per report."""
     modulus = ",".join(map(str, ctx.modulus))
-    rows = []
-    for r, omega in zip(reports, _omega_texts(reports)):
-        rows.append([r.p, r.n, modulus, r.d, r.c, r.verdict, r.computed.uniformity,
-                     omega, _eq_str(r.eq1_ok), _eq_str(r.eq2_ok)])
-    return rows
-
-
-_VERIFY_CSV_HEADER = ["p", "n", "modulus", "d", "c", "verdict", "uniformity",
-                      "omega_json", "eq1", "eq2"]
+    rows = [[r.p, r.n, modulus, r.d, r.c, r.verdict, r.computed.uniformity,
+             omega, _eq_str(r.eq1_ok), _eq_str(r.eq2_ok)]
+            for r, omega in zip(reports, _omega_jsons(reports))]
+    return (["p", "n", "modulus", "d", "c", "verdict", "uniformity",
+             "omega_json", "eq1", "eq2"], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +205,7 @@ def cmd_spectrum(args) -> int:
     case = PowerMapCase(ctx, d, c)
     spec = c_spectrum(case)
     u, label = spec.uniformity, uniformity_label(spec.uniformity)
+    modulus = ",".join(map(str, ctx.modulus))
     payload = {
         "field": {"p": ctx.p, "n": ctx.n, "modulus": list(ctx.modulus)},
         "d": case.d,
@@ -198,22 +214,16 @@ def cmd_spectrum(args) -> int:
         "uniformity": u,
         "class": label,
     }
-    if args.format == "json":
-        _emit(args, to_json(payload))
-    elif args.format == "csv":
-        _emit(args, _csv_text(
-            ["p", "n", "modulus", "d", "c", "uniformity", "class", "omega_json"],
-            [[ctx.p, ctx.n, ",".join(map(str, ctx.modulus)), case.d, c, u, label,
-              _canonical(payload["omega"])]],
-        ))
-    else:
-        lines = [
-            f"GF({ctx.p}^{ctx.n}) modulus {','.join(map(str, ctx.modulus))}",
-            f"d = {case.d}, c = {c}",
-            "omega: " + ", ".join(f"{i}:{w}" for i, w in sorted(spec.omega.items())),
-            f"uniformity = {u} ({label})",
-        ]
-        _emit(args, "\n".join(lines) + "\n")
+    _render(
+        args,
+        lambda: payload,
+        lambda: (["p", "n", "modulus", "d", "c", "uniformity", "class", "omega_json"],
+                 [[ctx.p, ctx.n, modulus, case.d, c, u, label, _canonical(payload["omega"])]]),
+        lambda: [f"GF({ctx.p}^{ctx.n}) modulus {modulus}",
+                 f"d = {case.d}, c = {c}",
+                 f"omega: {_omega_text(spec.omega)}",
+                 f"uniformity = {u} ({label})"],
+    )
     return EXIT_OK
 
 
@@ -222,28 +232,23 @@ def cmd_verify(args) -> int:
     d = parse_d(ctx, args.d, args.k)
     c = parse_c(ctx, args.c)
     report = verifier.verify_with_context(ctx, d, c, n4_budget=args.budget_n4)
-    if args.format == "json":
-        _emit(args, to_json(report.as_dict()))
-    elif args.format == "csv":
-        _emit(args, _csv_text(_VERIFY_CSV_HEADER, _verify_csv_rows(ctx, [report])))
-    else:
-        lines = [
+
+    def lines() -> list[str]:
+        n4 = f", N4 = {report.n4}" if report.n4 is not None else ""
+        out = [
             f"GF({ctx.p}^{ctx.n}) d = {report.d} c = {c}: {report.verdict}",
-            "computed omega: "
-            + ", ".join(f"{i}:{w}" for i, w in sorted(report.computed.omega.items())),
-            f"eq1 = {_eq_str(report.eq1_ok)}, eq2 = {_eq_str(report.eq2_ok)}"
-            + (f", N4 = {report.n4}" if report.n4 is not None else ""),
+            f"computed omega: {_omega_text(report.computed.omega)}",
+            f"eq1 = {_eq_str(report.eq1_ok)}, eq2 = {_eq_str(report.eq2_ok)}{n4}",
         ]
         for pr in report.predictions:
             status = "consistent" if pr.consistent else "INCONSISTENT"
-            lines.append(
-                f"prediction {pr.theorem.value} ({status}): "
-                + ", ".join(f"{i}:{w}" for i, w in sorted(pr.omega.items()))
-                + (f"  [{pr.notes}]" if pr.notes else "")
-            )
+            notes = f"  [{pr.notes}]" if pr.notes else ""
+            out.append(f"prediction {pr.theorem.value} ({status}): {_omega_text(pr.omega)}{notes}")
         if report.matched_theorem:
-            lines.append(f"matched: {report.matched_theorem}")
-        _emit(args, "\n".join(lines) + "\n")
+            out.append(f"matched: {report.matched_theorem}")
+        return out
+
+    _render(args, report.as_dict, lambda: _verify_table(ctx, [report]), lines)
     return _VERDICT_EXIT[report.verdict]
 
 
@@ -251,45 +256,38 @@ def cmd_sweep(args) -> int:
     ctx = _build_ctx(args)
     d = parse_d(ctx, args.d, args.k)
     result = verifier.sweep_c(ctx, d, n4_budget=args.budget_n4)
-    if args.format == "json":
-        _emit(args, to_json(result.as_dict()))
-    elif args.format == "csv":
-        _emit(args, _csv_text(_VERIFY_CSV_HEADER, _verify_csv_rows(ctx, result.reports)))
-    else:
-        lines = [
+    _render(
+        args,
+        result.as_dict,
+        lambda: _verify_table(ctx, result.reports),
+        lambda: [
             f"GF({result.p}^{result.n}) d = {result.d}: sweep over {len(result.reports)} c values",
             "tallies: " + ", ".join(f"{k}={v}" for k, v in result.tallies.items()),
-        ]
-        for r, omega in zip(result.reports, _omega_texts(result.reports)):
-            lines.append(f"  c={r.c}: {r.verdict}, uniformity={r.computed.uniformity}, {omega}")
-        _emit(args, "\n".join(lines) + "\n")
-    if result.tallies[verifier.MISMATCH]:
-        return EXIT_MISMATCH
-    if result.tallies[verifier.PREDICTOR_INCONSISTENT]:
-        return EXIT_INCONSISTENT
-    return EXIT_OK
+            *(f"  c={r.c}: {r.verdict}, uniformity={r.computed.uniformity}, {omega}"
+              for r, omega in zip(result.reports, _omega_jsons(result.reports))),
+        ],
+    )
+    # a MISMATCH anywhere outranks a PREDICTOR_INCONSISTENT
+    return next((_VERDICT_EXIT[v] for v in (verifier.MISMATCH, verifier.PREDICTOR_INCONSISTENT)
+                 if result.tallies[v]), EXIT_OK)
 
 
 def cmd_scan(args) -> int:
     ctx = _build_ctx(args)
     c = parse_c(ctx, args.c)
     result = verifier.scan_exponents(ctx, c, args.max_uniformity)
-    if args.format == "json":
-        _emit(args, to_json(result.as_dict()))
-    elif args.format == "csv":
-        rows = [[r["d"], r["uniformity"], _canonical(r["omega"])] for r in result.rows]
-        _emit(args, _csv_text(["d", "uniformity", "omega_json"], rows))
-    else:
-        lines = [
+    _render(
+        args,
+        result.as_dict,
+        lambda: (["d", "uniformity", "omega_json"],
+                 [[r["d"], r["uniformity"], _canonical(r["omega"])] for r in result.rows]),
+        lambda: [
             f"GF({result.p}^{result.n}) c = {result.c}: "
-            f"{len(result.rows)} exponent classes with uniformity <= {result.max_uniformity}"
-        ]
-        for r in result.rows:
-            lines.append(
-                f"  d={r['d']}: uniformity={r['uniformity']}, "
-                + _canonical(r["omega"])
-            )
-        _emit(args, "\n".join(lines) + "\n")
+            f"{len(result.rows)} exponent classes with uniformity <= {result.max_uniformity}",
+            *(f"  d={r['d']}: uniformity={r['uniformity']}, {_canonical(r['omega'])}"
+              for r in result.rows),
+        ],
+    )
     return EXIT_OK
 
 
@@ -308,48 +306,36 @@ def cmd_gamma(args) -> int:
         direct = None
     else:
         direct = gamma_5n_direct(ctx)
-    payload = {
-        "n": n,
-        "closed": closed,
-        "direct": direct,
-        "equal": (closed == direct) if direct is not None else None,
-    }
-    if args.format == "json":
-        _emit(args, to_json(payload))
-    elif args.format == "csv":
-        _emit(args, _csv_text(
-            ["n", "closed", "direct", "equal"],
-            [[n, closed, "" if direct is None else direct,
-              "" if direct is None else str(closed == direct).lower()]],
-        ))
-    else:
-        msg = f"gamma_5_{n}: closed = {closed}"
-        if direct is not None:
-            msg += f", direct = {direct}, equal = {str(closed == direct).lower()}"
-        else:
-            msg += ", direct skipped (field over budget)"
-        _emit(args, msg + "\n")
+    equal = None if direct is None else closed == direct
+    shown = "" if equal is None else str(equal).lower()
+    _render(
+        args,
+        lambda: {"n": n, "closed": closed, "direct": direct, "equal": equal},
+        lambda: (["n", "closed", "direct", "equal"],
+                 [[n, closed, "" if direct is None else direct, shown]]),
+        lambda: [f"gamma_5_{n}: closed = {closed}, "
+                 + ("direct skipped (field over budget)" if direct is None
+                    else f"direct = {direct}, equal = {shown}")],
+    )
     return EXIT_OK
 
 
 def cmd_fuzz(args) -> int:
     report = verifier.fuzz_identities(args.seed, args.count, budget=args.budget_q)
-    if args.format == "json":
-        _emit(args, to_json(report.as_dict()))
-    elif args.format == "csv":
-        rows = [[c["p"], c["n"], c["d"], c["c"], c["n4"],
-                 _eq_str(c["eq1"]), _eq_str(c["eq2"])] for c in report.cases]
-        _emit(args, _csv_text(["p", "n", "d", "c", "n4", "eq1", "eq2"], rows))
-    else:
-        lines = [
+    _render(
+        args,
+        report.as_dict,
+        lambda: (["p", "n", "d", "c", "n4", "eq1", "eq2"],
+                 [[c["p"], c["n"], c["d"], c["c"], c["n4"], _eq_str(c["eq1"]), _eq_str(c["eq2"])]
+                  for c in report.cases]),
+        lambda: [
             f"fuzz seed={report.seed} count={report.count} budget={report.budget}: "
-            f"{report.count - len(report.failures)}/{report.count} passed",
+            f"{report.passes}/{report.count} passed",
             f"char-2 case present: {report.has_char2_case}; "
             f"gcd(d, q-1) > 1 case present: {report.has_gcd_gt1_case}",
-        ]
-        for f in report.failures:
-            lines.append(f"  FAIL {f}")
-        _emit(args, "\n".join(lines) + "\n")
+            *(f"  FAIL {f}" for f in report.failures),
+        ],
+    )
     return EXIT_OK if report.all_ok else EXIT_MISMATCH
 
 

@@ -427,9 +427,7 @@ class FieldContext:
         return encode_digits(_pmod(prod, self.modulus, p), p)
 
     def inv(self, a: int) -> int:
-        if a == 0:
-            raise DivisionByZero("inverse of 0")
-        return int(self.exp[(self.q - 1 - self.log[a]) % (self.q - 1)])
+        return self.pow(a, -1)
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:

@@ -298,6 +298,10 @@ class FuzzReport:
         return [case for case in self.cases if not (case["eq1"] and case["eq2"])]
 
     @property
+    def passes(self) -> int:
+        return self.count - len(self.failures)
+
+    @property
     def has_char2_case(self) -> bool:
         return any(case["p"] == 2 for case in self.cases)
 
@@ -314,7 +318,7 @@ class FuzzReport:
             "seed": self.seed,
             "count": self.count,
             "budget": self.budget,
-            "passes": self.count - len(self.failures),
+            "passes": self.passes,
             "failures": self.failures,
             "has_char2_case": self.has_char2_case,
             "has_gcd_gt1_case": self.has_gcd_gt1_case,

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from cdspec import verifier
 from cdspec import (
     ParseError,
     PowerMapCase,
@@ -17,6 +18,7 @@ from cdspec import (
 from cdspec.cli import (
     EXIT_BUDGET,
     EXIT_INCONSISTENT,
+    EXIT_MISMATCH,
     EXIT_OK,
     EXIT_USAGE,
     GAMMA_MAX_N,
@@ -24,6 +26,8 @@ from cdspec.cli import (
     parse_d,
     to_json,
 )
+
+from cdspec.closed_forms import SpectrumPrediction, TheoremId
 
 from conftest import get_ctx, is_prime_trial
 
@@ -269,6 +273,38 @@ def test_sweep_n4_default_is_the_library_default(capsys):
     assert code == EXIT_OK
     assert out == to_json(sweep_c(get_ctx(5, 2), 23, n4_budget=0).as_dict())
     assert all(r["n4"] is None and r["eq2"] is None for r in json.loads(out)["reports"])
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_sweep_exits_3_when_only_predictors_are_inconsistent(capsys, fmt):
+    code, out, _ = run_cli(capsys, "sweep", "--field", "3^4", "--d", "78",
+                           "--budget-n4", "0", "--format", fmt)
+    assert code == EXIT_INCONSISTENT
+    if fmt == "json":
+        tallies = json.loads(out)["tallies"]
+        assert tallies["MISMATCH"] == 0 and tallies["PREDICTOR_INCONSISTENT"] > 0
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_sweep_exit_puts_mismatch_before_inconsistent(monkeypatch, capsys, fmt):
+    """One orbit MISMATCH (a consistent prediction that misses) and another
+    PREDICTOR_INCONSISTENT: the sweep exits 2, not 3."""
+    real = verifier.dispatch
+
+    def rigged(ctx, d, c):
+        if c == 0:
+            return [SpectrumPrediction(TheoremId.INV_ODD, [], {0: ctx.q}, True)]
+        if c == ctx.neg_one:
+            return [SpectrumPrediction(TheoremId.INV_ODD, [], {0: ctx.q}, False)]
+        return real(ctx, d, c)
+
+    monkeypatch.setattr(verifier, "dispatch", rigged)
+    argv = ("sweep", "--field", "3^2", "--d", "inv", "--budget-n4", "0", "--format")
+    code, out, _ = run_cli(capsys, *argv, fmt)
+    assert code == EXIT_MISMATCH
+    _, out, _ = run_cli(capsys, *argv, "json")
+    tallies = json.loads(out)["tallies"]
+    assert tallies["MISMATCH"] == 1 and tallies["PREDICTOR_INCONSISTENT"] == 1
 
 
 def test_scan_gf25(capsys):
@@ -574,3 +610,13 @@ def test_output_bytes_are_pinned(capsys, case, fmt, code, digest):
     got_code, out, _ = run_cli(capsys, *_PINNED_ARGV[case], "--format", fmt)
     assert got_code == code
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("case, fmt, code, digest", _PINNED_OUTPUT,
+                         ids=[f"{case}-{fmt}" for case, fmt, _, _ in _PINNED_OUTPUT])
+def test_out_writes_the_stdout_bytes(tmp_path, capsys, case, fmt, code, digest):
+    target = tmp_path / f"out.{fmt}"
+    got_code, out, _ = run_cli(capsys, *_PINNED_ARGV[case], "--format", fmt,
+                               "--out", str(target))
+    assert got_code == code and out == ""
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
