@@ -148,14 +148,13 @@ def _emit(args, text: str) -> None:
         raise ParseError(f"cannot write --out {args.out!r}: {exc.strerror or exc}") from exc
 
 
-def _render(args, doc, table, lines) -> None:
-    """Write the output form --format names: json from doc(), csv from the
-    (header, rows) of table(), text from the lines of lines().  Only the
-    chosen callable runs."""
+def _render(args, as_json, as_csv, lines) -> None:
+    """Write the output form --format names: the text of as_json() or
+    as_csv(), or the lines of lines().  Only the chosen callable runs."""
     if args.format == "json":
-        text = to_json(doc())
+        text = as_json()
     elif args.format == "csv":
-        text = _csv_text(*table())
+        text = as_csv()
     else:
         text = "\n".join(lines()) + "\n"
     _emit(args, text)
@@ -184,14 +183,37 @@ def _omega_jsons(reports) -> list[str]:
     return out
 
 
-def _verify_table(ctx: FieldContext, reports) -> tuple[list[str], list[list]]:
-    """The verify/sweep CSV header and one row per report."""
-    modulus = ",".join(map(str, ctx.modulus))
-    rows = [[r.p, r.n, modulus, r.d, r.c, r.verdict, r.computed.uniformity,
-             omega, _eq_str(r.eq1_ok), _eq_str(r.eq2_ok)]
-            for r, omega in zip(reports, _omega_jsons(reports))]
-    return (["p", "n", "modulus", "d", "c", "verdict", "uniformity",
-             "omega_json", "eq1", "eq2"], rows)
+def _verify_csv(ctx: FieldContext, reports, members) -> str:
+    """The verify/sweep CSV: the header, then for each (c, i) of members the
+    row of reports[i] at c.  The cells after c are formatted once per report;
+    no cell holds a newline, so they are the lines of one _csv_text."""
+    header, before, *after = _csv_text(
+        ["p", "n", "modulus", "d", "c", "verdict", "uniformity", "omega_json", "eq1", "eq2"],
+        [[ctx.p, ctx.n, ",".join(map(str, ctx.modulus)), reports[0].d],
+         *([r.verdict, r.computed.uniformity, omega, _eq_str(r.eq1_ok), _eq_str(r.eq2_ok)]
+           for r, omega in zip(reports, _omega_jsons(reports)))],
+    ).split("\n")[:-1]
+    return "".join([header, "\n", *(f"{before},{c},{after[i]}\n" for c, i in members)])
+
+
+def _sweep_json(result: verifier.SweepResult, members) -> str:
+    """to_json(result.as_dict()), each orbit's report formatted once with its
+    two c values left open.  With sorted keys "c" comes first in "case" and
+    in "computed", and those two come first in a report; the sweep's case
+    and tallies hold only numbers and fixed keys."""
+    bodies = []
+    for _, r in result.orbits:
+        doc = r.as_dict()
+        case, computed = doc.pop("case"), doc.pop("computed")
+        del case["c"], computed["c"]
+        bodies.append(("," + _canonical(case)[1:] + ',"computed":{"c":',
+                       "," + _canonical(computed)[1:] + "," + _canonical(doc)[1:]))
+    rows = ",".join(f'{{"case":{{"c":{c}{bodies[i][0]}{c}{bodies[i][1]}' for c, i in members)
+    head, tail = to_json({
+        "case": {"p": result.p, "n": result.n, "modulus": list(result.modulus), "d": result.d},
+        "reports": [], "tallies": result.tallies,
+    }).split('"reports":[]')
+    return f'{head}"reports":[{rows}]{tail}'
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +238,10 @@ def cmd_spectrum(args) -> int:
     }
     _render(
         args,
-        lambda: payload,
-        lambda: (["p", "n", "modulus", "d", "c", "uniformity", "class", "omega_json"],
-                 [[ctx.p, ctx.n, modulus, case.d, c, u, label, _canonical(payload["omega"])]]),
+        lambda: to_json(payload),
+        lambda: _csv_text(["p", "n", "modulus", "d", "c", "uniformity", "class", "omega_json"],
+                          [[ctx.p, ctx.n, modulus, case.d, c, u, label,
+                            _canonical(payload["omega"])]]),
         lambda: [f"GF({ctx.p}^{ctx.n}) modulus {modulus}",
                  f"d = {case.d}, c = {c}",
                  f"omega: {_omega_text(spec.omega)}",
@@ -248,7 +271,8 @@ def cmd_verify(args) -> int:
             out.append(f"matched: {report.matched_theorem}")
         return out
 
-    _render(args, report.as_dict, lambda: _verify_table(ctx, [report]), lines)
+    _render(args, lambda: to_json(report.as_dict()),
+            lambda: _verify_csv(ctx, [report], [(c, 0)]), lines)
     return _VERDICT_EXIT[report.verdict]
 
 
@@ -256,17 +280,22 @@ def cmd_sweep(args) -> int:
     ctx = _build_ctx(args)
     d = parse_d(ctx, args.d, args.k)
     result = verifier.sweep_c(ctx, d, n4_budget=args.budget_n4)
-    _render(
-        args,
-        result.as_dict,
-        lambda: _verify_table(ctx, result.reports),
-        lambda: [
-            f"GF({result.p}^{result.n}) d = {result.d}: sweep over {len(result.reports)} c values",
+    # every form is written from the orbits: each report is formatted once
+    # with c left open, then once per member in ascending c
+    reports = [r for _, r in result.orbits]
+    members = result.members()
+
+    def lines() -> list[str]:
+        tails = [f": {r.verdict}, uniformity={r.computed.uniformity}, {omega}"
+                 for r, omega in zip(reports, _omega_jsons(reports))]
+        return [
+            f"GF({result.p}^{result.n}) d = {result.d}: sweep over {len(members)} c values",
             "tallies: " + ", ".join(f"{k}={v}" for k, v in result.tallies.items()),
-            *(f"  c={r.c}: {r.verdict}, uniformity={r.computed.uniformity}, {omega}"
-              for r, omega in zip(result.reports, _omega_jsons(result.reports))),
-        ],
-    )
+            *(f"  c={c}{tails[i]}" for c, i in members),
+        ]
+
+    _render(args, lambda: _sweep_json(result, members),
+            lambda: _verify_csv(ctx, reports, members), lines)
     # a MISMATCH anywhere outranks a PREDICTOR_INCONSISTENT
     return next((_VERDICT_EXIT[v] for v in (verifier.MISMATCH, verifier.PREDICTOR_INCONSISTENT)
                  if result.tallies[v]), EXIT_OK)
@@ -278,9 +307,10 @@ def cmd_scan(args) -> int:
     result = verifier.scan_exponents(ctx, c, args.max_uniformity)
     _render(
         args,
-        result.as_dict,
-        lambda: (["d", "uniformity", "omega_json"],
-                 [[r["d"], r["uniformity"], _canonical(r["omega"])] for r in result.rows]),
+        lambda: to_json(result.as_dict()),
+        lambda: _csv_text(["d", "uniformity", "omega_json"],
+                          [[r["d"], r["uniformity"], _canonical(r["omega"])]
+                           for r in result.rows]),
         lambda: [
             f"GF({result.p}^{result.n}) c = {result.c}: "
             f"{len(result.rows)} exponent classes with uniformity <= {result.max_uniformity}",
@@ -310,9 +340,9 @@ def cmd_gamma(args) -> int:
     shown = "" if equal is None else str(equal).lower()
     _render(
         args,
-        lambda: {"n": n, "closed": closed, "direct": direct, "equal": equal},
-        lambda: (["n", "closed", "direct", "equal"],
-                 [[n, closed, "" if direct is None else direct, shown]]),
+        lambda: to_json({"n": n, "closed": closed, "direct": direct, "equal": equal}),
+        lambda: _csv_text(["n", "closed", "direct", "equal"],
+                          [[n, closed, "" if direct is None else direct, shown]]),
         lambda: [f"gamma_5_{n}: closed = {closed}, "
                  + ("direct skipped (field over budget)" if direct is None
                     else f"direct = {direct}, equal = {shown}")],
@@ -324,16 +354,16 @@ def cmd_fuzz(args) -> int:
     report = verifier.fuzz_identities(args.seed, args.count, budget=args.budget_q)
     _render(
         args,
-        report.as_dict,
-        lambda: (["p", "n", "d", "c", "n4", "eq1", "eq2"],
-                 [[c["p"], c["n"], c["d"], c["c"], c["n4"], _eq_str(c["eq1"]), _eq_str(c["eq2"])]
-                  for c in report.cases]),
+        lambda: to_json(report.as_dict()),
+        lambda: _csv_text(["p", "n", "d", "c", "n4", "eq1", "eq2"],
+                          [[c["p"], c["n"], c["d"], c["c"], c["n4"],
+                            _eq_str(c["eq1"]), _eq_str(c["eq2"])] for c in report.cases]),
         lambda: [
             f"fuzz seed={report.seed} count={report.count} budget={report.budget}: "
             f"{report.passes}/{report.count} passed",
             f"char-2 case present: {report.has_char2_case}; "
             f"gcd(d, q-1) > 1 case present: {report.has_gcd_gt1_case}",
-            *(f"  FAIL {f}" for f in report.failures),
+            *(f"  FAIL {_canonical(f)}" for f in report.failures),
         ],
     )
     return EXIT_OK if report.all_ok else EXIT_MISMATCH

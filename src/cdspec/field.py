@@ -282,7 +282,10 @@ def parse_field_spec(text: str) -> FieldSpec:
 # ---------------------------------------------------------------------------
 
 class FieldContext:
-    """Immutable handle on a concrete GF(p^n).  Construct via build_context."""
+    """A concrete GF(p^n).  Construct via build_context.
+
+    Its tables are read-only.  The one mutable attribute is the per-d slot
+    _pow_slot, rebound in a single assignment."""
 
     def __init__(self, spec: FieldSpec, modulus: tuple[int, ...]):
         self.p = spec.p

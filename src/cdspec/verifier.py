@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .closed_forms import SpectrumPrediction, dispatch
@@ -64,31 +64,19 @@ class VerifyReport:
     matched_theorem: Optional[str]
 
     def as_dict(self) -> dict:
-        return _report_doc(self, {}, {})
-
-
-def _report_doc(r: VerifyReport, omega_docs: dict, pred_docs: dict) -> dict:
-    """r.as_dict(), reusing the omega and prediction documents the caches hold."""
-    spec = r.computed
-    okey = tuple(spec.omega.items())
-    omega = omega_docs.get(okey)
-    if omega is None:
-        omega = omega_docs[okey] = omega_doc(spec.omega)
-    pkey = tuple(map(id, r.predictions))
-    preds = pred_docs.get(pkey)
-    if preds is None:
-        preds = pred_docs[pkey] = [pr.as_dict() for pr in r.predictions]
-    return {
-        "case": {"p": r.p, "n": r.n, "modulus": list(r.modulus), "d": r.d, "c": r.c},
-        "computed": {"q": spec.q, "d": spec.d, "c": spec.c,
-                     "uniformity": spec.uniformity, "omega": omega},
-        "predictions": preds,
-        "n4": r.n4,
-        "eq1": r.eq1_ok,
-        "eq2": r.eq2_ok,
-        "verdict": r.verdict,
-        "matched": r.matched_theorem,
-    }
+        spec = self.computed
+        return {
+            "case": {"p": self.p, "n": self.n, "modulus": list(self.modulus),
+                     "d": self.d, "c": self.c},
+            "computed": {"q": spec.q, "d": spec.d, "c": spec.c,
+                         "uniformity": spec.uniformity, "omega": omega_doc(spec.omega)},
+            "predictions": [pr.as_dict() for pr in self.predictions],
+            "n4": self.n4,
+            "eq1": self.eq1_ok,
+            "eq2": self.eq2_ok,
+            "verdict": self.verdict,
+            "matched": self.matched_theorem,
+        }
 
 
 def verify_with_context(
@@ -100,8 +88,7 @@ def verify_with_context(
     identity is checked when c != 1 and q fits the budget, else skipped.
     """
     d = normalize_exponent(d, ctx.q)
-    (report,) = _reports(ctx, d, [c], _measure(ctx, d, c, n4_budget), dispatch(ctx, d, c))
-    return report
+    return _report(ctx, d, c, _measure(ctx, d, c, n4_budget), dispatch(ctx, d, c))
 
 
 def _measure(ctx: FieldContext, d: int, c: int, n4_budget: int) -> tuple:
@@ -113,10 +100,10 @@ def _measure(ctx: FieldContext, d: int, c: int, n4_budget: int) -> tuple:
     return spec, n4, check_identities(spec, n4)
 
 
-def _reports(ctx: FieldContext, d: int, orbit: list[int], measured: tuple,
-             preds: list[SpectrumPrediction]) -> list[VerifyReport]:
-    """One report per c in orbit, each with its own copy of the spectrum and
-    predictions, from _measure and dispatch at one member of the orbit."""
+def _report(ctx: FieldContext, d: int, c: int, measured: tuple,
+            preds: list[SpectrumPrediction]) -> VerifyReport:
+    """The report at c, from _measure at c or at any c sharing its spectrum
+    and N4, and dispatch at c; it gets its own copy of the spectrum."""
     spec, n4, idrep = measured
     target = spec.positive()
     matched = next(
@@ -130,17 +117,13 @@ def _reports(ctx: FieldContext, d: int, orbit: list[int], measured: tuple,
         verdict = PREDICTOR_INCONSISTENT
     else:
         verdict = MISMATCH
-    theorem = matched.theorem.value if matched else None
-    return [
-        VerifyReport(
-            p=ctx.p, n=ctx.n, modulus=ctx.modulus, d=d, c=c,
-            computed=CDiffSpectrum(q=spec.q, d=d, c=c, uniformity=spec.uniformity,
-                                   omega=dict(spec.omega)),
-            predictions=list(preds), n4=n4, eq1_ok=idrep.eq1_ok,
-            eq2_ok=idrep.eq2_ok, verdict=verdict, matched_theorem=theorem,
-        )
-        for c in orbit
-    ]
+    return VerifyReport(
+        p=ctx.p, n=ctx.n, modulus=ctx.modulus, d=d, c=c,
+        computed=CDiffSpectrum(q=spec.q, d=d, c=c, uniformity=spec.uniformity,
+                               omega=dict(spec.omega)),
+        predictions=preds, n4=n4, eq1_ok=idrep.eq1_ok, eq2_ok=idrep.eq2_ok,
+        verdict=verdict, matched_theorem=matched.theorem.value if matched else None,
+    )
 
 
 def verify_case(
@@ -158,37 +141,63 @@ def verify_case(
 
 @dataclass
 class SweepResult:
+    """A sweep over every c except 1, stored as one (members, report) entry
+    per Frobenius orbit of c: the report holds what every member shares and
+    is taken at members[0].  Per-c reports and documents are derived."""
+
     p: int
     n: int
     modulus: tuple[int, ...]
     d: int
-    reports: list[VerifyReport]
+    orbits: list[tuple[list[int], VerifyReport]]
     tallies: dict[str, int]
 
+    def members(self) -> list[tuple[int, int]]:
+        """(c, i) for every swept c in ascending c, where orbits[i] holds c."""
+        owner = [-1] * self.p ** self.n
+        for i, (cs, _) in enumerate(self.orbits):
+            for c in cs:
+                owner[c] = i
+        return [(c, i) for c, i in enumerate(owner) if i >= 0]
+
+    @property
+    def reports(self) -> list[VerifyReport]:
+        """One fresh report per swept c, in ascending c: editing one changes
+        neither the others nor the sweep."""
+        out = []
+        for c, i in self.members():
+            r = self.orbits[i][1]
+            out.append(replace(r, c=c, predictions=list(r.predictions),
+                               computed=replace(r.computed, c=c, omega=dict(r.computed.omega))))
+        return out
+
     def as_dict(self) -> dict:
-        """The sweep document.  Its reports share one omega document per distinct
-        omega and one prediction-document list per list of the same predictions:
-        an edit to one report's sub-document shows in others."""
-        omega_docs: dict = {}
-        pred_docs: dict = {}
+        """The sweep document.  The reports of one orbit share every
+        sub-document except case and computed, which hold c: an edit to a
+        shared one shows in the others."""
+        docs = [r.as_dict() for _, r in self.orbits]
         return {
             "case": {"p": self.p, "n": self.n, "modulus": list(self.modulus), "d": self.d},
             "tallies": self.tallies,
-            "reports": [_report_doc(r, omega_docs, pred_docs) for r in self.reports],
+            "reports": [
+                {**docs[i], "case": {**docs[i]["case"], "c": c},
+                 "computed": {**docs[i]["computed"], "c": c}}
+                for c, i in self.members()
+            ],
         }
 
 
 def sweep_c(ctx: FieldContext, d: int, *, n4_budget: int = DEFAULT_N4_BUDGET) -> SweepResult:
-    """One verify report per c in GF(q) except c = 1, in ascending c.
+    """Verify every c in GF(q) except c = 1, one report per Frobenius orbit.
 
     The spectrum, the quadruple count and the identities are computed once
-    per orbit of c under Frobenius c -> c^p and inversion c -> 1/c, the
-    predictions once per Frobenius orbit, and every member gets its own
-    copy.  The result is the same as verifying each c.  Frobenius: x -> x^p
-    maps Delta_c(x) = b to Delta_{c^p}(x^p) = b^p, and the quadruples of
-    (d, c) to those of (d, c^p), so omega and N4 agree on the orbit.  The
-    dispatcher reads c only through Tr(c), Tr(1/c), chi of c^2 - 4c, 1 - 4c
-    and c, and equality with the prime-field constants 0, 1, 4, 1/4 and -1,
+    per orbit of c under Frobenius c -> c^p and inversion c -> 1/c, and the
+    predictions and the report once per Frobenius orbit.  Its reports are
+    the same as verifying each c.  Frobenius: x -> x^p maps Delta_c(x) = b
+    to Delta_{c^p}(x^p) = b^p, and the quadruples of (d, c) to those of
+    (d, c^p), so omega and N4 agree on the orbit.  The dispatcher reads c
+    only through Tr(c), Tr(1/c), chi of c^2 - 4c, 1 - 4c and c, and
+    equality with the prime-field constants 0, 1, 4, 1/4 and -1,
     all fixed by x -> x^p.  Inversion: Delta_c(-1 - y) =
     -c*(-1)^d*Delta_{1/c}(y), a fixed nonzero multiple, so c and 1/c share
     omega; dividing the power equation of a quadruple of (d, c) by c and
@@ -205,34 +214,31 @@ def sweep_c(ctx: FieldContext, d: int, *, n4_budget: int = DEFAULT_N4_BUDGET) ->
     """
     d = normalize_exponent(d, ctx.q)
     order = ctx.q - 1
-    by_c: list[Optional[VerifyReport]] = [None] * ctx.q
+    orbits: list[tuple[list[int], VerifyReport]] = []
     labels: Counter = Counter()
     verdicts: Counter = Counter()
 
-    def add(orbit: list[int], measured: tuple) -> None:
-        reports = _reports(ctx, d, orbit, measured, dispatch(ctx, d, orbit[0]))
-        for r in reports:
-            by_c[r.c] = r
-        labels[uniformity_label(measured[0].uniformity)] += len(orbit)
-        verdicts[reports[0].verdict] += len(orbit)
+    def add(cs: list[int], measured: tuple) -> None:
+        report = _report(ctx, d, cs[0], measured, dispatch(ctx, d, cs[0]))
+        orbits.append((cs, report))
+        labels[uniformity_label(report.computed.uniformity)] += len(cs)
+        verdicts[report.verdict] += len(cs)
 
     add([0], _measure(ctx, d, 0, n4_budget))
     for members in cyclotomic_classes(ctx.p, ctx.q):
         partner = order - members[-1]  # smallest member of (q-1) - M
         if members == [order] or partner < members[0]:
             continue  # c = 1, or a class handled with its partner
-        orbit = [int(ctx.exp[m]) for m in members]
-        measured = _measure(ctx, d, orbit[0], n4_budget)
-        add(orbit, measured)
+        cs = [int(ctx.exp[m]) for m in members]
+        measured = _measure(ctx, d, cs[0], n4_budget)
+        add(cs, measured)
         if partner > members[0]:
             add([int(ctx.exp[order - m]) for m in reversed(members)], measured)
     tallies = {"pcn": labels["PcN"], "apcn": labels["APcN"]}
     for v in (MATCH, MISMATCH, NO_PREDICTOR, PREDICTOR_INCONSISTENT):
         tallies[v] = verdicts[v]
-    return SweepResult(
-        p=ctx.p, n=ctx.n, modulus=ctx.modulus, d=d,
-        reports=[r for r in by_c if r is not None], tallies=tallies,
-    )
+    return SweepResult(p=ctx.p, n=ctx.n, modulus=ctx.modulus, d=d, orbits=orbits,
+                       tallies=tallies)
 
 
 @dataclass

@@ -1,7 +1,9 @@
+import contextlib
 import csv
 import io
 import json
 import math
+from unittest import mock
 
 import pytest
 
@@ -24,7 +26,6 @@ from cdspec.verifier import (
     NO_PREDICTOR,
     PREDICTOR_INCONSISTENT,
     SplitMix64,
-    SweepResult,
 )
 
 from conftest import get_ctx, is_prime_trial, odd_fields
@@ -201,7 +202,8 @@ def test_sweep_p3_plus3_other_c_no_predictor():
 
 
 def _sweep_per_c(ctx, d, n4_budget):
-    """Reference sweep: verify_with_context on every c except 1, one by one."""
+    """Reference sweep document: verify_with_context on every c except 1,
+    one by one."""
     reports = [verify_with_context(ctx, d, c, n4_budget=n4_budget)
                for c in range(ctx.q) if c != 1]
     tallies = {
@@ -214,13 +216,71 @@ def _sweep_per_c(ctx, d, n4_budget):
             1 for r in reports if r.verdict == PREDICTOR_INCONSISTENT
         ),
     }
-    return SweepResult(p=ctx.p, n=ctx.n, modulus=ctx.modulus,
-                       d=normalize_exponent(d, ctx.q), reports=reports, tallies=tallies)
+    case = {"p": ctx.p, "n": ctx.n, "modulus": list(ctx.modulus),
+            "d": normalize_exponent(d, ctx.q)}
+    return {"case": case, "tallies": tallies, "reports": [r.as_dict() for r in reports]}
+
+
+def _canonical(doc):
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def _sweep_forms(doc):
+    """The json, csv and text output of a sweep, written report by report
+    from its document."""
+    def eq(value):
+        return "skipped" if value is None else str(value).lower()
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["p", "n", "modulus", "d", "c", "verdict", "uniformity",
+                     "omega_json", "eq1", "eq2"])
+    case = doc["case"]
+    lines = [f"GF({case['p']}^{case['n']}) d = {case['d']}: "
+             f"sweep over {len(doc['reports'])} c values",
+             "tallies: " + ", ".join(f"{k}={v}" for k, v in doc["tallies"].items())]
+    for r in doc["reports"]:
+        c, u = r["case"]["c"], r["computed"]["uniformity"]
+        omega = _canonical(r["computed"]["omega"])
+        writer.writerow([case["p"], case["n"], ",".join(map(str, case["modulus"])), case["d"],
+                         c, r["verdict"], u, omega, eq(r["eq1"]), eq(r["eq2"])])
+        lines.append(f"  c={c}: {r['verdict']}, uniformity={u}, {omega}")
+    return {"json": _canonical(doc) + "\n", "csv": buf.getvalue(), "text": "\n".join(lines) + "\n"}
+
+
+_PARSER = cli.make_parser()
+
+
+def _cli_out(argv):
+    """The stdout of a CLI subcommand, its argv parsed by one shared parser."""
+    args = _PARSER.parse_args(argv)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        args.func(args)
+    return buf.getvalue()
 
 
 def _assert_orbit_sweep_matches(ctx, d, n4_budget):
-    expected = _sweep_per_c(ctx, d, n4_budget).as_dict()
-    assert sweep_c(ctx, d, n4_budget=n4_budget).as_dict() == expected, (ctx, d, n4_budget)
+    """sweep_c's document, and up to q = 243 the CLI's bytes in every
+    format, equal those built from the per-c reference."""
+    expected = _sweep_per_c(ctx, d, n4_budget)
+    result = sweep_c(ctx, d, n4_budget=n4_budget)
+    assert result.as_dict() == expected, (ctx, d, n4_budget)
+    if ctx.q > 243:
+        return
+    argv = ["sweep", "--field", f"{ctx.p}^{ctx.n}", "--d", str(d),
+            "--budget-n4", str(n4_budget), "--format"]
+    asked = []
+
+    def same_sweep(cli_ctx, cli_d, *, n4_budget):
+        # the CLI renders the sweep just checked, so each form costs no sweep
+        asked.append((cli_ctx.modulus, cli_d, n4_budget))
+        return result
+
+    with mock.patch.object(verifier, "sweep_c", same_sweep):
+        for fmt, text in _sweep_forms(expected).items():
+            assert _cli_out(argv + [fmt]) == text, (ctx, d, n4_budget, fmt)
+    assert asked == [(ctx.modulus, d, n4_budget)] * 3
 
 
 _SWEEP_FIELDS = [(2, n) for n in range(1, 10)] + odd_fields(0, 729)
@@ -265,6 +325,27 @@ def test_sweep_reports_share_no_mutable_state():
     first.predictions.clear()
     first.computed.omega.clear()
     assert by_c[orbit[1]].predictions and by_c[orbit[1]].computed.omega
+
+
+def test_sweep_state_cannot_be_edited_through_its_reports(monkeypatch):
+    """Each access to reports hands out fresh copies: clearing their omega
+    and predictions changes neither as_dict() nor the rendered bytes."""
+    ctx = get_ctx(3, 4)
+    result = sweep_c(ctx, ctx.q - 2, n4_budget=0)
+    monkeypatch.setattr(verifier, "sweep_c", lambda *args, **kwargs: result)
+    argv = ["sweep", "--field", "3^4", "--d", "inv", "--budget-n4", "0", "--format"]
+
+    def snapshot():
+        return result.as_dict(), [_cli_out(argv + [fmt]) for fmt in ("json", "csv", "text")]
+
+    before = snapshot()
+    assert before[0]["reports"][5]["computed"]["omega"] and before[0]["reports"][5]["predictions"]
+    result.reports[5].computed.omega.clear()
+    result.reports[5].predictions.clear()
+    for r in result.reports:
+        r.computed.omega.clear()
+        r.predictions.clear()
+    assert snapshot() == before
 
 
 def _assert_inverse_orbit_dispatched(ctx, theorem, names, key):
@@ -320,9 +401,10 @@ _WORK_FIELDS = [(2, 5), (2, 6), (3, 1), (3, 4), (5, 3), (7, 2), (13, 2)]
 @pytest.mark.parametrize("p,n", _WORK_FIELDS, ids=[f"{p}^{n}" for p, n in _WORK_FIELDS])
 def test_sweep_computes_once_per_orbit(p, n, monkeypatch):
     """c = 0, then one spectrum per orbit of GF(q)* minus 1 under c -> c^p and
-    c -> 1/c, and one dispatch per orbit under c -> c^p alone: the bytes do
-    not show whether a sweep shares a spectrum across inversion, this does."""
-    calls = {"c_spectrum": 0, "dispatch": 0}
+    c -> 1/c, and one dispatch and one stored report per orbit under c -> c^p
+    alone: the bytes do not show whether a sweep shares a spectrum across
+    inversion or stores a report per c, this does."""
+    calls = {"c_spectrum": 0, "dispatch": 0, "VerifyReport": 0}
     for name in calls:
         def counted(*args, _fn=getattr(verifier, name), _name=name, **kwargs):
             calls[_name] += 1
@@ -335,7 +417,8 @@ def test_sweep_computes_once_per_orbit(p, n, monkeypatch):
         orbit = frozenset(ctx.pow(c, p ** i) for i in range(n))
         frobenius.add(orbit)
         both.add(orbit | {ctx.inv(x) for x in orbit})
-    assert calls == {"c_spectrum": 1 + len(both), "dispatch": 1 + len(frobenius)}
+    assert calls == {"c_spectrum": 1 + len(both), "dispatch": 1 + len(frobenius),
+                     "VerifyReport": 1 + len(frobenius)}
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +561,7 @@ def test_fuzz_reports_a_failing_draw(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].endswith(": 2/3 passed")
     assert [line for line in lines if line.startswith("  FAIL ")] == [
-        f"  FAIL {report.cases[1]}"]
+        "  FAIL " + _canonical(report.cases[1])]
     assert cli.main(argv + ["json"]) == cli.EXIT_MISMATCH
     doc = json.loads(capsys.readouterr().out)
     assert doc["failures"] == [doc["cases"][1]] == [report.cases[1]]
