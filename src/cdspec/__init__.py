@@ -33,6 +33,7 @@ from .spectrum import (
     c_spectrum,
     check_identities,
     n4_bruteforce,
+    n4_fourier,
     normalize_exponent,
 )
 from .closed_forms import (

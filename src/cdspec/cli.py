@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -425,17 +426,24 @@ def make_parser() -> argparse.ArgumentParser:
     sp = subs.add_parser("fuzz", help="randomised identity checks")
     _add_common(sp, field=False, seed=True)
     sp.add_argument("--count", type=int, default=100)
-    # every draw runs a quadruple count
+    # every draw runs the quadruple count at the --budget-n4 default, so a
+    # --budget-q above it is refused
     sp.add_argument("--budget-q", type=int, default=343, help="largest field order drawn")
     sp.set_defaults(func=cmd_fuzz)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared after it: parse_args
+    returns a fresh namespace and leaves the parser as it was."""
+    return make_parser()
+
+
 def main(argv=None) -> int:
-    parser = make_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

@@ -2,12 +2,20 @@
 
 The single difference function Delta_c(x) = (x+1)^d - c*x^d determines the
 whole c-DDT of a power map: row a scales to row 1, and the row-0 counts are
-controlled by gcd(d, q-1).  Everything here is one histogram pass over the
-field, so costs are O(q) per (d, c).
+controlled by gcd(d, q-1).  The spectrum is one histogram pass over the
+field, so it costs O(q) per (d, c).
+
+The quadruple count N4 of the second identity has two exact paths.
+n4_fourier, which the verifier runs, sums products of additive-character
+transforms over GF(p)^n: O(q*n*p) work per prime l = 1 (mod p), with one
+prime when q <= 625 and a few up to the context cap.  It reads x^d, the
+trace and c*x alone, never the spectrum.  n4_bruteforce enumerates the
+quadruples in O(q^2) and is kept as its reference.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as _field
 from typing import Iterator, Optional
@@ -15,7 +23,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import BudgetExceeded
-from .field import FieldContext
+from .field import FieldContext, _linear_mapper
 
 DEFAULT_N4_BUDGET = 625
 
@@ -217,6 +225,136 @@ def n4_bruteforce(case: PowerMapCase, budget: int = DEFAULT_N4_BUDGET) -> int:
         h = np.bincount(vals.ravel(), minlength=vals.size)
         total += int(np.dot(h, h))
     return total
+
+
+# n4_fourier works in GF(l) for primes l = 1 (mod p) below _ELL_MAX.  Its
+# int64 bounds: a product of two residues is below 2^56; a transform step
+# sums p of them, which needs p * l^2 < 2^63, so for p >= 128 l is taken
+# below sqrt(2^63 / p) instead; a sum of q residues is below 2^50, since
+# contexts stop at q = 2^22.
+_ELL_MAX = 1 << 28
+# Miller-Rabin with these bases is exact below 3,215,031,751 > _ELL_MAX.
+_MR_BASES = (2, 3, 5, 7)
+
+
+def _is_prime_mr(m: int) -> bool:
+    """Deterministic Miller-Rabin primality, exact for m < 3,215,031,751."""
+    if m < 2:
+        return False
+    for b in _MR_BASES:
+        if m % b == 0:
+            return m == b
+    s, t = 0, m - 1
+    while t % 2 == 0:
+        s, t = s + 1, t // 2
+    for b in _MR_BASES:
+        x = pow(b, t, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@functools.lru_cache(maxsize=64)
+def _fourier_moduli(p: int, bound: int) -> tuple[tuple[int, int], ...]:
+    """(l, zeta) for the largest primes l = 1 (mod p) under the int64
+    limit, descending, until their product exceeds bound; zeta has order p
+    in GF(l)."""
+    top = min(_ELL_MAX, math.isqrt((2 ** 63 - 1) // p))  # p * l^2 < 2^63
+    ell = top - (top - 1) % p  # the largest l <= top with l = 1 (mod p)
+    out, prod = [], 1
+    while prod <= bound:
+        if _is_prime_mr(ell):
+            zeta = next(z for z in (pow(a, (ell - 1) // p, ell) for a in range(2, ell)) if z != 1)
+            out.append((ell, zeta))
+            prod *= ell
+        ell -= p
+    return tuple(out)
+
+
+# The digit map of L(w) depends on the field's (p, n) alone, and its lookup
+# tables are small, so the last few are kept.
+_mapper = functools.lru_cache(maxsize=64)(_linear_mapper)
+
+# Entries of the p x p transform matrix built at a time: p <= 256 takes one
+# block, and a large prime field stays within a few MB.
+_DFT_BLOCK = 1 << 16
+
+
+def _transform_leading_digit(a: np.ndarray, zp: np.ndarray, ell: int) -> np.ndarray:
+    """a (2, q) with the leading base-p digit of its index transformed,
+    b[j] = sum_k zeta^(j*k) a[k] mod l, and moved to the least significant
+    place; zp[k] = zeta^k mod l.  Each entry sums p products below l^2,
+    which stays under 2^63 by the choice of l."""
+    p = len(zp)
+    x = a.reshape(2, p, -1)
+    out = np.empty_like(x)
+    k = np.arange(p, dtype=np.int64)
+    rows = max(1, _DFT_BLOCK // p)
+    for lo in range(0, p, rows):
+        out[:, lo:lo + rows] = zp[k[lo:lo + rows, None] * k % p] @ x % ell
+    return out.transpose(0, 2, 1).reshape(a.shape)
+
+
+def n4_fourier(case: PowerMapCase, budget: int = DEFAULT_N4_BUDGET) -> int:
+    """The quadruple count of n4_bruteforce, from additive-character sums.
+
+    With psi(z) = zeta^Tr(z) and W(u, v) = sum_x psi(u*x + v*x^d),
+    q^2 * N4 = sum_{u,v} W(u,v) W(-u,-cv) W(u,cv) W(-u,-v).  Substituting
+    x -> -x gives W(-u, a) = W(u, (-1)^d a), and x -> x/u for u != 0 gives
+    W(u, a) = W(1, a*u^-d), so with eps = (-1)^(d+1), S0 = W(0, .) and
+    S1 = W(1, .):
+
+        q^2 * N4 = sum_v S0(v) S0(-v) S0(cv) S0(-cv)
+                   + (q-1) * sum_w S1(w) S1(eps*w) S1(cw) S1(eps*cw).
+
+    S1(w) = sum_y g(y) psi(w*y) with g(y) = sum_{x^d = y} psi(x), and S0
+    likewise with h(y) = #{x : x^d = y}.  Tr(w*y) = <digits(y), L(w)> with
+    L(w)_i = Tr(w*X^i), the Hankel matrix Tr(X^(i+j)) applied to the digits
+    of w, so S1(w) is the Fourier transform of g over GF(p)^n read at L(w).
+
+    All of it is computed in GF(l) for primes l = 1 (mod p), where zeta is
+    an element of order p, and N4 <= q^3 is recovered by the CRT.
+    """
+    ctx = case.ctx
+    p, n, q = ctx.p, ctx.n, ctx.q
+    if q > budget:
+        raise BudgetExceeded(f"N4 over q={q} exceeds budget {budget}")
+    powd = ctx.pow_table(case.d)
+    w = np.arange(q, dtype=np.int64)
+    x_pows = [1]  # X^k for k <= 2n - 2; X has encoding p when n > 1
+    for _ in range(2 * n - 2):
+        x_pows.append(ctx.mul(x_pows[-1], p))
+    traces = np.array([ctx.trace(v) for v in x_pows], dtype=np.int64)
+    hankel = traces[np.add.outer(np.arange(n), np.arange(n))]  # Tr(X^(i+j))
+    lw = _mapper(p, n)(hankel, w)  # encoding of L(w)
+    trace = lw % p  # digit 0 of L(w) is Tr(w)
+    neg = ctx.vec_scale(w, ctx.neg_one)
+    eps_w = neg if case.d % 2 == 0 else w
+    cw = ctx.vec_scale(w, case.c)
+    h = np.bincount(powd, minlength=q)
+    n4, mod = 0, 1
+    for ell, zeta in _fourier_moduli(p, q ** 3):
+        zp = np.array([pow(zeta, k, ell) for k in range(p)], dtype=np.int64)
+        g = np.zeros(q, dtype=np.int64)
+        np.add.at(g, powd, zp[trace])  # a bin sums at most q residues: < 2^50
+        gh = np.stack([g % ell, h % ell])
+        for _ in range(n):  # after n steps every digit is back in place
+            gh = _transform_leading_digit(gh, zp, ell)
+        s1, s0 = gh[:, lw]
+        pair1 = s1 * s1[eps_w] % ell  # S1(w) S1(eps*w)
+        pair0 = s0 * s0[neg] % ell  # S0(v) S0(-v)
+        t1 = int((pair1 * pair1[cw] % ell).sum())
+        t0 = int((pair0 * pair0[cw] % ell).sum())
+        r = (t0 + (q - 1) * t1) * pow(q * q, -1, ell) % ell
+        n4 += mod * ((r - n4) * pow(mod, -1, ell) % ell)
+        mod *= ell
+    return n4
 
 
 @dataclass

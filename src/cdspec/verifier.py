@@ -17,7 +17,7 @@ from .spectrum import (
     c_spectrum,
     check_identities,
     cyclotomic_classes,
-    n4_bruteforce,
+    n4_fourier,
     normalize_exponent,
     omega_doc,
     uniformity_label,
@@ -96,7 +96,7 @@ def _measure(ctx: FieldContext, d: int, c: int, n4_budget: int) -> tuple:
     n4_budget (else None), and the identity check of both."""
     case = PowerMapCase(ctx, d, c)
     spec = c_spectrum(case)
-    n4 = n4_bruteforce(case, budget=n4_budget) if c != 1 and ctx.q <= n4_budget else None
+    n4 = n4_fourier(case, budget=n4_budget) if c != 1 and ctx.q <= n4_budget else None
     return spec, n4, check_identities(spec, n4)
 
 
@@ -209,8 +209,8 @@ def sweep_c(ctx: FieldContext, d: int, *, n4_budget: int = DEFAULT_N4_BUDGET) ->
     of m under m -> p*m mod (q-1), and that of 1/c is (q-1) - M: the two are
     handled in one step, at the one whose smallest member comes first.
 
-    The quadruple count runs once per orbit when q fits n4_budget, which
-    multiplies the sweep cost by about q; n4_budget=0 skips it.
+    The quadruple count runs once per orbit when q fits n4_budget;
+    n4_budget=0 skips it.
     """
     d = normalize_exponent(d, ctx.q)
     order = ctx.q - 1
@@ -335,8 +335,9 @@ class FuzzReport:
 def fuzz_identities(seed: int, count: int, budget: int = 343) -> FuzzReport:
     """Random (p, n, d, c != 1) cases with q <= budget, each run through
     verify_with_context; both spectrum identities are checked exactly, the
-    second via the quadruple count.  Every draw runs that count, about q^2
-    element operations, so budget may not exceed DEFAULT_N4_BUDGET."""
+    second via the quadruple count.  Every draw runs that count at the
+    default N4 budget, which would skip it above DEFAULT_N4_BUDGET, so
+    budget may not exceed it."""
     if count < 0:
         raise ValueError(f"fuzz count must be >= 0, got {count}")
     if budget < 4:

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from cdspec import verifier
+from cdspec import cli, verifier
 from cdspec import (
     ParseError,
     PowerMapCase,
@@ -232,6 +232,30 @@ def test_verify_csv_schema(capsys):
                        "omega_json", "eq1", "eq2"]
     assert rows[1][:6] == ["5", "2", "2,0,1", "11", "4", "MATCH"]
     assert json.loads(rows[1][7]) == {"0": 8, "1": 9, "2": 8}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--field", "617", "--d", "5", "--c", "2"],
+    ["--field", "2^16", "--d", "inv", "--c", "e:3", "--budget-n4", "65536"],
+])
+def test_verify_eq2_on_large_fields(capsys, argv):
+    """A prime field at the N4 default, and a raised budget far past what
+    enumeration of the quadruples could reach."""
+    code, out, _ = run_cli(capsys, "verify", *argv, "--format", "json")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["eq2"] is True and payload["n4"] > 0
+
+
+def test_parser_is_shared_but_namespaces_are_not(capsys, tmp_path):
+    """main builds its parser once; an option of one call does not carry
+    into the next."""
+    path = tmp_path / "out.txt"
+    argv = ["spectrum", "--field", "5^1", "--d", "3", "--c", "-1"]
+    assert run_cli(capsys, *argv, "--out", str(path))[:2] == (EXIT_OK, "")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK and out == path.read_text()
+    assert cli._parser() is cli._parser()
 
 
 def test_json_roundtrip_byte_identical(capsys):

@@ -13,14 +13,16 @@ from cdspec import (
     c_delta,
     c_spectrum,
     check_identities,
+    find_irreducible,
     n4_bruteforce,
+    n4_fourier,
     normalize_exponent,
 )
 from cdspec import spectrum
 from cdspec.spectrum import CDiffSpectrum, cyclotomic_classes, uniformity_label
 from cdspec.verifier import SplitMix64
 
-from conftest import get_ctx, odd_fields
+from conftest import get_ctx, is_prime_trial, odd_fields
 
 
 def _delta_count_scalar(ctx, d, c, b):
@@ -292,6 +294,78 @@ def test_n4_minus_one_divisible_by_q_minus_1():
             c = u if u == 0 else u + 1  # c != 1
             n4 = n4_bruteforce(PowerMapCase(ctx, d, c))
             assert (n4 - 1) % (ctx.q - 1) == 0
+
+
+# Every d and every c, 0 and 1 included, on every field here: q(q - 1)
+# pairs, 5,360 in all.
+_FOURIER_FIELDS = [(2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3),
+                   (5, 1), (5, 2), (7, 1), (7, 2), (11, 1), (13, 1)]
+
+
+@pytest.mark.parametrize("p,n", _FOURIER_FIELDS, ids=[f"{p}^{n}" for p, n in _FOURIER_FIELDS])
+def test_n4_fourier_matches_bruteforce_on_whole_fields(p, n):
+    ctx = get_ctx(p, n)
+    for d in range(1, ctx.q):
+        for c in range(ctx.q):
+            case = PowerMapCase(ctx, d, c)
+            assert n4_fourier(case) == n4_bruteforce(case), (p, n, d, c)
+
+
+def test_n4_fourier_large_p_and_several_primes():
+    """p >= 128 takes a smaller l (a transform step sums p products), 617
+    also several transform blocks and two primes; 3^6 and 2^10 pass 625
+    and need two primes too."""
+    for p, n in [(131, 1), (257, 1), (617, 1), (3, 6), (2, 10)]:
+        ctx = get_ctx(p, n)
+        q = ctx.q
+        for d, c in [(3, 2), (q - 2, 5 % q), ((q - 1) // 2, ctx.neg_one), (5, 0),
+                     (7, 1), (q - 1, 3 % q)]:
+            case = PowerMapCase(ctx, d, c)
+            assert n4_fourier(case, budget=q) == n4_bruteforce(case, budget=q), (p, n, d, c)
+
+
+def test_n4_fourier_other_modulus_and_small_blocks(monkeypatch):
+    """The Hankel matrix follows the modulus; blocks of 8 transform-matrix
+    entries split every p > 2 into several."""
+    monkeypatch.setattr(spectrum, "_DFT_BLOCK", 8)
+    for p, n in [(2, 4), (3, 3), (5, 2), (7, 2), (13, 1)]:
+        ctx = build_context(FieldSpec(p, n, find_irreducible(p, n, 1 if n > 1 else 0)))
+        for d in range(1, ctx.q, 3):
+            for c in (0, 1, 2, ctx.neg_one, ctx.q - 2):
+                case = PowerMapCase(ctx, d, c)
+                assert n4_fourier(case) == n4_bruteforce(case), (p, n, d, c)
+
+
+def test_fourier_moduli_are_primes_with_a_root_of_order_p():
+    assert [m for m in range(20000) if spectrum._is_prime_mr(m)] == \
+        [m for m in range(20000) if is_prime_trial(m)]
+    assert not spectrum._is_prime_mr(25326001)  # strong pseudoprime to 2, 3, 5
+    for p, q in [(2, 2 ** 22), (3, 3 ** 13), (13, 13 ** 2), (131, 131), (617, 617), (2039, 2039 ** 2)]:
+        moduli = spectrum._fourier_moduli(p, q ** 3)
+        assert math.prod(ell for ell, _ in moduli) > q ** 3
+        for ell, zeta in moduli:
+            assert is_prime_trial(ell) and ell % p == 1, (p, ell)
+            assert p * (ell - 1) ** 2 < 2 ** 63 and ell < spectrum._ELL_MAX, (p, ell)
+            assert zeta != 1 and pow(zeta, p, ell) == 1, (p, ell)
+
+
+def test_n4_fourier_budget():
+    with pytest.raises(BudgetExceeded):
+        n4_fourier(PowerMapCase(get_ctx(3, 6), 4, 2))
+    with pytest.raises(BudgetExceeded):
+        n4_fourier(PowerMapCase(get_ctx(5, 1), 3, 4), budget=4)
+    assert n4_fourier(PowerMapCase(get_ctx(3, 6), 4, 2), budget=729) > 0
+
+
+@pytest.mark.parametrize("p,n", [(2, 12), (3, 8), (7, 4), (2, 16)])
+def test_eq2_beyond_the_bruteforce_budget(p, n):
+    ctx = get_ctx(p, n)
+    q = ctx.q
+    for d in (q - 2, 7):
+        for c in (2, q - 1):
+            case = PowerMapCase(ctx, d, c)
+            n4 = n4_fourier(case, budget=q)
+            assert check_identities(c_spectrum(case), n4).eq2_ok, (p, n, d, c)
 
 
 # ---------------------------------------------------------------------------
