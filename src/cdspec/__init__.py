@@ -27,6 +27,7 @@ from .field import (
 from .spectrum import (
     CDiffSpectrum,
     IdentityReport,
+    PowerMap,
     PowerMapCase,
     c_ddt_entry,
     c_delta,

@@ -26,7 +26,8 @@ from .field import (
     gamma_5n_direct,
     parse_field_spec,
 )
-from .spectrum import DEFAULT_N4_BUDGET, PowerMapCase, c_spectrum, omega_doc, uniformity_label
+from .spectrum import (DEFAULT_N4_BUDGET, PowerMap, PowerMapCase, c_spectrum, omega_doc,
+                       uniformity_label)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 2
@@ -225,7 +226,7 @@ def cmd_spectrum(args) -> int:
     ctx = _build_ctx(args)
     d = parse_d(ctx, args.d, args.k)
     c = parse_c(ctx, args.c)
-    case = PowerMapCase(ctx, d, c)
+    case = PowerMapCase(PowerMap(ctx, d), c)
     spec = c_spectrum(case)
     u, label = spec.uniformity, uniformity_label(spec.uniformity)
     modulus = ",".join(map(str, ctx.modulus))

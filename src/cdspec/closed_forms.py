@@ -2,7 +2,7 @@
 
 Each predictor is a pure integer function of pre-evaluated conditions
 (traces, character values, parities); dispatch() evaluates those conditions
-from a FieldContext and returns every prediction whose hypotheses hold.
+over a PowerMap's field and returns every prediction whose hypotheses hold.
 All arithmetic is exact: a non-exact division or a negative entry marks the
 prediction inconsistent instead of rounding.
 """
@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import Inapplicable
-from .field import FieldContext
-from .spectrum import counting_identity_errors, cyclotomic_class, normalize_exponent, omega_doc
+from .spectrum import PowerMap, counting_identity_errors, normalize_exponent, omega_doc
 
 
 class TheoremId(Enum):
@@ -267,19 +266,18 @@ def predict_5n_minus3_half(n: int) -> SpectrumPrediction:
 # Dispatcher
 # ---------------------------------------------------------------------------
 
-def dispatch(ctx: FieldContext, d: int, c: int) -> list[SpectrumPrediction]:
+def dispatch(power: PowerMap, c: int) -> list[SpectrumPrediction]:
     """Every closed-form prediction whose hypotheses hold at (p, n, d, c).
 
     d matches a family exponent in its cyclotomic class, since x^d and
     x^(pd) have the same spectrum at every c.  An empty list means the case
     is brute-force only.
     """
+    ctx, dn = power.ctx, power.d
     p, n, q = ctx.p, ctx.n, ctx.q
-    dn = normalize_exponent(d, q)
-    members = set(cyclotomic_class(p, q, dn))
 
     def matches(e: int) -> bool:
-        return normalize_exponent(e, q) in members
+        return normalize_exponent(e, q) in power.members
 
     preds: list[SpectrumPrediction] = []
 

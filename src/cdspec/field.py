@@ -8,7 +8,8 @@ Zech-logarithm table Z(k) = log(1 + g^k), through which the vectorised
 vec_add/vec_sub work (characteristic 2 adds by XOR).  Every field order up
 to DEFAULT_ENUM_CAP gets its tables.  The quadratic character and the trace
 are derived, not stored: the generator g is a nonsquare, so chi(g^k) =
-(-1)^k, and the trace is GF(p)-linear in the digits.
+(-1)^k, and the trace is GF(p)-linear in the digits.  A context has no
+mutable state; spectrum.PowerMap owns the tables that depend on a d.
 
 The tables are built from GF(p)-linear maps on digit vectors.  The matrix
 of x -> a*x is a combination of powers of the modulus's companion matrix.
@@ -93,7 +94,7 @@ def decode_digits(value: int, p: int, n: int) -> list[int]:
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
-    """arr made read-only: contexts and their cached tables are shared."""
+    """arr made read-only: contexts and power maps share their tables."""
     arr.setflags(write=False)
     return arr
 
@@ -284,8 +285,8 @@ def parse_field_spec(text: str) -> FieldSpec:
 class FieldContext:
     """A concrete GF(p^n).  Construct via build_context.
 
-    Its tables are read-only.  The one mutable attribute is the per-d slot
-    _pow_slot, rebound in a single assignment."""
+    Every attribute is set during __init__ and every table is read-only, so
+    a context has no mutable state."""
 
     def __init__(self, spec: FieldSpec, modulus: tuple[int, ...]):
         self.p = spec.p
@@ -295,10 +296,6 @@ class FieldContext:
         self.neg_one = 1 if self.p == 2 else self.p - 1
         cpow = self._companion_powers()
         self.generator = self._find_generator(cpow)
-        # One per-d slot (d, x^d, lu, ratio), the log tables of pow_log_ratio
-        # None until asked for.  It is rebound in a single assignment, so
-        # concurrent readers see either the old or the new tuple, never a mix.
-        self._pow_slot: tuple = (0, None, None, None)
         self._build_tables(cpow)
 
     # -- construction internals ------------------------------------------
@@ -558,12 +555,9 @@ class FieldContext:
         return out.reshape(shape)
 
     def pow_table(self, d: int) -> np.ndarray:
-        """x^d for every x, read-only; d must be in [1, q-1]."""
+        """x^d for every x, as a new read-only array; d must be in [1, q-1]."""
         if not 1 <= d <= self.q - 1:
             raise ValueError(f"exponent {d} out of range [1, {self.q - 1}]")
-        cached_d, cached, _, _ = self._pow_slot
-        if cached_d == d:
-            return cached
         # k = i*b + j with b = ceil(sqrt(q-1)): k*d mod (q-1) is j*d mod (q-1)
         # plus i*(b*d mod (q-1)) mod (q-1).  The i row is shifted by -(q-1),
         # so each sum indexes exp in [-(q-1), q-1) and only the two short
@@ -574,25 +568,7 @@ class FieldContext:
         high = np.arange(-(-order // b), dtype=np.int64) * (b * d % order) % order - order
         t = np.zeros(self.q, dtype=np.int64)
         t[self.exp] = self.exp[(high[:, None] + low).ravel()[:order]]
-        self._pow_slot = (d, _frozen(t), None, None)
-        return t
-
-    def pow_log_ratio(self, d: int) -> tuple[np.ndarray, np.ndarray]:
-        """(lu, ratio) for every x, read-only: lu = log (x+1)^d and
-        ratio = log(x^d / (x+1)^d) mod (q-1), all in [0, q-1).  The entries
-        at x = 0 and x = -1, where x^d or (x+1)^d is 0, are meaningless;
-        d must be in [1, q-1]."""
-        cached_d, _, lu, ratio = self._pow_slot
-        if cached_d == d and lu is not None:
-            return lu, ratio
-        t = self.pow_table(d)
-        lv = self.log[t]
-        lv[0] = 0  # keeps every entry of lu and ratio in [0, q-1)
-        lu = lv[self.succ]
-        ratio = lv - lu
-        ratio += (ratio < 0) * (self.q - 1)  # mod q-1, without a division pass
-        self._pow_slot = (d, t, _frozen(lu), _frozen(ratio))
-        return lu, ratio
+        return _frozen(t)
 
     def __repr__(self) -> str:
         return f"FieldContext(GF({self.p}^{self.n}), modulus={self.modulus})"

@@ -3,14 +3,14 @@
 The single difference function Delta_c(x) = (x+1)^d - c*x^d determines the
 whole c-DDT of a power map: row a scales to row 1, and the row-0 counts are
 controlled by gcd(d, q-1).  The spectrum is one histogram pass over the
-field, so it costs O(q) per (d, c).
+field, so it costs O(q) per (d, c).  A PowerMap holds what depends on d.
 
 The quadruple count N4 of the second identity has two exact paths.
 n4_fourier, which the verifier runs, sums products of additive-character
-transforms over GF(p)^n: O(q*n*p) work per prime l = 1 (mod p), with one
-prime when q <= 625 and a few up to the context cap.  It reads x^d, the
-trace and c*x alone, never the spectrum.  n4_bruteforce enumerates the
-quadruples in O(q^2) and is kept as its reference.
+transforms over GF(p)^n: O(q*n*p) work per d and prime l = 1 (mod p), with
+one prime when q <= 625 and a few up to the context cap, and O(q) per c.
+It reads x^d, the trace and c*x alone, never the spectrum.  n4_bruteforce
+enumerates the quadruples in O(q^2) and is kept as its reference.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import BudgetExceeded
-from .field import FieldContext, _linear_mapper
+from .field import FieldContext, _frozen, _linear_mapper
 
 DEFAULT_N4_BUDGET = 625
 
@@ -75,16 +75,77 @@ def cyclotomic_classes(p: int, q: int) -> Iterator[list[int]]:
         yield sorted(members)
 
 
-@dataclass
-class PowerMapCase:
-    """A power map x^d over a fixed field, differentiated with multiplier c."""
+@dataclass(frozen=True)
+class PowerMap:
+    """x^d over a fixed field and its tables, each built on first read and
+    read-only; threads may share it, as two first reads build equal tables."""
 
     ctx: FieldContext
     d: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "d", normalize_exponent(self.d, self.ctx.q))
+
+    @functools.cached_property
+    def powd(self) -> np.ndarray:
+        """x^d for every x."""
+        return self.ctx.pow_table(self.d)
+
+    @functools.cached_property
+    def log_ratio(self) -> tuple[np.ndarray, np.ndarray]:
+        """(log (x+1)^d, log(x^d / (x+1)^d) mod (q-1)) for every x, in odd
+        characteristic; meaningless at x = 0 and x = -1, where one power is 0."""
+        ctx = self.ctx
+        lv = ctx.log[self.powd]
+        lv[0] = 0  # keeps every entry of lu and ratio in [0, q-1)
+        lu = lv[ctx.succ]
+        ratio = lv - lu
+        ratio += (ratio < 0) * (ctx.q - 1)  # mod q-1, without a division pass
+        return _frozen(lu), _frozen(ratio)
+
+    @functools.cached_property
+    def members(self) -> frozenset[int]:
+        """The cyclotomic class of d."""
+        return frozenset(cyclotomic_class(self.ctx.p, self.ctx.q, self.d))
+
+    @functools.cached_property
+    def n4_pairs(self) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
+        """(l, S1(w) S1(eps*w) mod l, S0(v) S0(-v) mod l) per prime l of n4_fourier."""
+        ctx, powd = self.ctx, self.powd
+        p, n, q = ctx.p, ctx.n, ctx.q
+        w = np.arange(q, dtype=np.int64)
+        x_pows = [1]  # X^k for k <= 2n - 2; X has encoding p when n > 1
+        for _ in range(2 * n - 2):
+            x_pows.append(ctx.mul(x_pows[-1], p))
+        traces = np.array([ctx.trace(v) for v in x_pows], dtype=np.int64)
+        hankel = traces[np.add.outer(np.arange(n), np.arange(n))]  # Tr(X^(i+j))
+        lw = _mapper(p, n)(hankel, w)  # encoding of L(w)
+        trace = lw % p  # digit 0 of L(w) is Tr(w)
+        neg = ctx.vec_scale(w, ctx.neg_one)
+        eps_w = neg if self.d % 2 == 0 else w
+        h = np.bincount(powd, minlength=q)
+        out = []
+        for ell, zeta in _fourier_moduli(p, q ** 3):
+            zp = np.array([pow(zeta, k, ell) for k in range(p)], dtype=np.int64)
+            g = np.zeros(q, dtype=np.int64)
+            np.add.at(g, powd, zp[trace])  # a bin sums at most q residues: < 2^50
+            gh = np.stack([g % ell, h % ell])
+            for _ in range(n):  # after n steps every digit is back in place
+                gh = _transform_leading_digit(gh, zp, ell)
+            s1, s0 = gh[:, lw]
+            out.append((ell, _frozen(s1 * s1[eps_w] % ell), _frozen(s0 * s0[neg] % ell)))
+        return tuple(out)
+
+
+@dataclass
+class PowerMapCase:
+    """The power map of power, differentiated with multiplier c."""
+
+    power: PowerMap
     c: int
 
     def __post_init__(self) -> None:
-        self.d = normalize_exponent(self.d, self.ctx.q)
+        self.ctx, self.d = self.power.ctx, self.power.d
         if not 0 <= self.c < self.ctx.q:
             raise ValueError(f"c encoding {self.c} outside [0, {self.ctx.q})")
         self._hist: Optional[np.ndarray] = None
@@ -93,14 +154,14 @@ class PowerMapCase:
         """Delta_c(x) for every x, as an encoding array."""
         ctx = self.ctx
         if ctx.p == 2 or self.c == 0:
-            powd = ctx.pow_table(self.d)
+            powd = self.power.powd
             shifted = powd[ctx.succ]  # (x+1)^d
             return ctx.vec_sub(shifted, ctx.vec_scale(powd, self.c))
         # Log domain: with u = (x+1)^d and v = x^d, u - c*v = u*(1 + (-c)*v/u),
         # so log Delta = log u + Z(log(v/u) + log(-c)).  log u and log(v/u)
-        # depend on d alone; the context keeps them for the last d.
+        # depend on d alone, and the PowerMap keeps them.
         order = ctx.q - 1
-        lu, ratio = ctx.pow_log_ratio(self.d)
+        lu, ratio = self.power.log_ratio
         log_neg_c = (int(ctx.log[self.c]) + order // 2) % order
         # Both gathers index in [-(q-1), q-1), where a negative index wraps
         # around, so no pass reduces mod q-1.
@@ -212,7 +273,7 @@ def n4_bruteforce(case: PowerMapCase, budget: int = DEFAULT_N4_BUDGET) -> int:
     q = ctx.q
     if q > budget:
         raise BudgetExceeded(f"N4 enumeration over q={q} exceeds budget {budget}")
-    powd = ctx.pow_table(case.d)
+    powd = case.power.powd
     c_powd = ctx.vec_scale(powd, case.c)
     X = np.arange(q, dtype=np.int64)
     rows = max(1, _N4_BLOCK // q)
@@ -319,36 +380,16 @@ def n4_fourier(case: PowerMapCase, budget: int = DEFAULT_N4_BUDGET) -> int:
     of w, so S1(w) is the Fourier transform of g over GF(p)^n read at L(w).
 
     All of it is computed in GF(l) for primes l = 1 (mod p), where zeta is
-    an element of order p, and N4 <= q^3 is recovered by the CRT.
+    an element of order p, and N4 <= q^3 is recovered by the CRT.  Only the
+    gathers at c*w depend on c; the rest is case.power.n4_pairs.
     """
     ctx = case.ctx
-    p, n, q = ctx.p, ctx.n, ctx.q
+    q = ctx.q
     if q > budget:
         raise BudgetExceeded(f"N4 over q={q} exceeds budget {budget}")
-    powd = ctx.pow_table(case.d)
-    w = np.arange(q, dtype=np.int64)
-    x_pows = [1]  # X^k for k <= 2n - 2; X has encoding p when n > 1
-    for _ in range(2 * n - 2):
-        x_pows.append(ctx.mul(x_pows[-1], p))
-    traces = np.array([ctx.trace(v) for v in x_pows], dtype=np.int64)
-    hankel = traces[np.add.outer(np.arange(n), np.arange(n))]  # Tr(X^(i+j))
-    lw = _mapper(p, n)(hankel, w)  # encoding of L(w)
-    trace = lw % p  # digit 0 of L(w) is Tr(w)
-    neg = ctx.vec_scale(w, ctx.neg_one)
-    eps_w = neg if case.d % 2 == 0 else w
-    cw = ctx.vec_scale(w, case.c)
-    h = np.bincount(powd, minlength=q)
+    cw = ctx.vec_scale(np.arange(q, dtype=np.int64), case.c)
     n4, mod = 0, 1
-    for ell, zeta in _fourier_moduli(p, q ** 3):
-        zp = np.array([pow(zeta, k, ell) for k in range(p)], dtype=np.int64)
-        g = np.zeros(q, dtype=np.int64)
-        np.add.at(g, powd, zp[trace])  # a bin sums at most q residues: < 2^50
-        gh = np.stack([g % ell, h % ell])
-        for _ in range(n):  # after n steps every digit is back in place
-            gh = _transform_leading_digit(gh, zp, ell)
-        s1, s0 = gh[:, lw]
-        pair1 = s1 * s1[eps_w] % ell  # S1(w) S1(eps*w)
-        pair0 = s0 * s0[neg] % ell  # S0(v) S0(-v)
+    for ell, pair1, pair0 in case.power.n4_pairs:
         t1 = int((pair1 * pair1[cw] % ell).sum())
         t0 = int((pair0 * pair0[cw] % ell).sum())
         r = (t0 + (q - 1) * t1) * pow(q * q, -1, ell) % ell

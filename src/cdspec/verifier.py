@@ -13,12 +13,12 @@ from .field import FieldContext, FieldSpec, build_context
 from .spectrum import (
     DEFAULT_N4_BUDGET,
     CDiffSpectrum,
+    PowerMap,
     PowerMapCase,
     c_spectrum,
     check_identities,
     cyclotomic_classes,
     n4_fourier,
-    normalize_exponent,
     omega_doc,
     uniformity_label,
 )
@@ -87,24 +87,24 @@ def verify_with_context(
     Zero-count entries are ignored in the comparison.  The quadruple-count
     identity is checked when c != 1 and q fits the budget, else skipped.
     """
-    d = normalize_exponent(d, ctx.q)
-    return _report(ctx, d, c, _measure(ctx, d, c, n4_budget), dispatch(ctx, d, c))
+    power = PowerMap(ctx, d)
+    return _report(power, c, _measure(power, c, n4_budget))
 
 
-def _measure(ctx: FieldContext, d: int, c: int, n4_budget: int) -> tuple:
+def _measure(power: PowerMap, c: int, n4_budget: int) -> tuple:
     """The spectrum of x^d at c, its quadruple count when c != 1 and q fits
     n4_budget (else None), and the identity check of both."""
-    case = PowerMapCase(ctx, d, c)
+    case = PowerMapCase(power, c)
     spec = c_spectrum(case)
-    n4 = n4_fourier(case, budget=n4_budget) if c != 1 and ctx.q <= n4_budget else None
+    n4 = n4_fourier(case, budget=n4_budget) if c != 1 and power.ctx.q <= n4_budget else None
     return spec, n4, check_identities(spec, n4)
 
 
-def _report(ctx: FieldContext, d: int, c: int, measured: tuple,
-            preds: list[SpectrumPrediction]) -> VerifyReport:
+def _report(power: PowerMap, c: int, measured: tuple) -> VerifyReport:
     """The report at c, from _measure at c or at any c sharing its spectrum
     and N4, and dispatch at c; it gets its own copy of the spectrum."""
     spec, n4, idrep = measured
+    preds = dispatch(power, c)
     target = spec.positive()
     matched = next(
         (pr for pr in preds if pr.consistent and pr.positive() == target), None
@@ -117,10 +117,10 @@ def _report(ctx: FieldContext, d: int, c: int, measured: tuple,
         verdict = PREDICTOR_INCONSISTENT
     else:
         verdict = MISMATCH
+    ctx = power.ctx
     return VerifyReport(
-        p=ctx.p, n=ctx.n, modulus=ctx.modulus, d=d, c=c,
-        computed=CDiffSpectrum(q=spec.q, d=d, c=c, uniformity=spec.uniformity,
-                               omega=dict(spec.omega)),
+        p=ctx.p, n=ctx.n, modulus=ctx.modulus, d=power.d, c=c,
+        computed=replace(spec, c=c, omega=dict(spec.omega)),
         predictions=preds, n4=n4, eq1_ok=idrep.eq1_ok, eq2_ok=idrep.eq2_ok,
         verdict=verdict, matched_theorem=matched.theorem.value if matched else None,
     )
@@ -209,35 +209,35 @@ def sweep_c(ctx: FieldContext, d: int, *, n4_budget: int = DEFAULT_N4_BUDGET) ->
     of m under m -> p*m mod (q-1), and that of 1/c is (q-1) - M: the two are
     handled in one step, at the one whose smallest member comes first.
 
-    The quadruple count runs once per orbit when q fits n4_budget;
-    n4_budget=0 skips it.
+    The quadruple count runs once per orbit, from transforms of x^d that all
+    orbits share, when q fits n4_budget; n4_budget=0 skips it.
     """
-    d = normalize_exponent(d, ctx.q)
+    power = PowerMap(ctx, d)
     order = ctx.q - 1
     orbits: list[tuple[list[int], VerifyReport]] = []
     labels: Counter = Counter()
     verdicts: Counter = Counter()
 
     def add(cs: list[int], measured: tuple) -> None:
-        report = _report(ctx, d, cs[0], measured, dispatch(ctx, d, cs[0]))
+        report = _report(power, cs[0], measured)
         orbits.append((cs, report))
         labels[uniformity_label(report.computed.uniformity)] += len(cs)
         verdicts[report.verdict] += len(cs)
 
-    add([0], _measure(ctx, d, 0, n4_budget))
+    add([0], _measure(power, 0, n4_budget))
     for members in cyclotomic_classes(ctx.p, ctx.q):
         partner = order - members[-1]  # smallest member of (q-1) - M
         if members == [order] or partner < members[0]:
             continue  # c = 1, or a class handled with its partner
         cs = [int(ctx.exp[m]) for m in members]
-        measured = _measure(ctx, d, cs[0], n4_budget)
+        measured = _measure(power, cs[0], n4_budget)
         add(cs, measured)
         if partner > members[0]:
             add([int(ctx.exp[order - m]) for m in reversed(members)], measured)
     tallies = {"pcn": labels["PcN"], "apcn": labels["APcN"]}
     for v in (MATCH, MISMATCH, NO_PREDICTOR, PREDICTOR_INCONSISTENT):
         tallies[v] = verdicts[v]
-    return SweepResult(p=ctx.p, n=ctx.n, modulus=ctx.modulus, d=d, orbits=orbits,
+    return SweepResult(p=ctx.p, n=ctx.n, modulus=ctx.modulus, d=power.d, orbits=orbits,
                        tallies=tallies)
 
 
@@ -266,9 +266,15 @@ class ScanResult:
 def scan_exponents(ctx: FieldContext, c: int, max_uniformity: int) -> ScanResult:
     """All cyclotomic-class representatives d whose uniformity stays under
     the threshold, with their spectra."""
-    rows = []
+    rows, power = [], None
     for members in cyclotomic_classes(ctx.p, ctx.q):
-        spec = c_spectrum(PowerMapCase(ctx, members[0], c))
+        last, power = power, PowerMap(ctx, members[0])
+        # Build this class's tables before the last class's go: freed with the
+        # kernel's temporaries, glibc trims its heap and each class faults its
+        # arrays in again (scan --field 2^14: 113k minor faults, 0.45 -> 0.75 s).
+        power.powd if ctx.p == 2 or c == 0 else power.log_ratio
+        del last
+        spec = c_spectrum(PowerMapCase(power, c))
         if spec.uniformity <= max_uniformity:
             rows.append(
                 {

@@ -9,6 +9,7 @@ import numpy as np
 
 from cdspec import (
     FieldSpec,
+    PowerMap,
     PowerMapCase,
     build_context,
     c_spectrum,
@@ -42,7 +43,7 @@ def _report(name: str, started: float, ok: bool = True, detail: str = "") -> Non
 
 
 def _brute(ctx, d, c):
-    return c_spectrum(PowerMapCase(ctx, d, c)).positive()
+    return c_spectrum(PowerMapCase(PowerMap(ctx, d), c)).positive()
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +255,7 @@ def test_criterion_6_quintic_family():
         ctx = get_ctx(5, n)
         d = (ctx.q - 3) // 2
         assert n4_closed_5n(n) == expected
-        assert n4_bruteforce(PowerMapCase(ctx, d, ctx.neg_one)) == expected, n
+        assert n4_bruteforce(PowerMapCase(PowerMap(ctx, d), ctx.neg_one)) == expected, n
     _report("criterion-6 x^((5^n-3)/2) spectra, gamma closed=direct, N4 checks", started)
 
 
@@ -296,8 +297,8 @@ def test_criterion_8_basis_independence():
         d = 1 + rng.below(q - 2)
         u = rng.below(p - 1)
         c = u if u == 0 else u + 1  # prime-subfield constant, c != 1
-        spec_a = c_spectrum(PowerMapCase(ctx_a, d, c))
-        spec_b = c_spectrum(PowerMapCase(ctx_b, d, c))
+        spec_a = c_spectrum(PowerMapCase(PowerMap(ctx_a, d), c))
+        spec_b = c_spectrum(PowerMapCase(PowerMap(ctx_b, d), c))
         assert spec_a.omega == spec_b.omega, (p, n, d, c)
     _report("criterion-8 20 seeded cases identical under two moduli", started)
 
@@ -401,7 +402,7 @@ def test_criterion_9f_involution_parity():
                  (7, 3), (11, 2), (13, 2)]:
         ctx = get_ctx(p, n)
         for d in (2, 4, 6, 10):
-            case = PowerMapCase(ctx, d, ctx.neg_one)
+            case = PowerMapCase(PowerMap(ctx, d), ctx.neg_one)
             hist = case.delta_histogram()
             xf = ctx.neg(ctx.inv(2 % p))
             b_star = ctx.sub(ctx.pow(ctx.add(xf, 1), case.d),

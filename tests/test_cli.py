@@ -9,6 +9,7 @@ import pytest
 from cdspec import cli, verifier
 from cdspec import (
     ParseError,
+    PowerMap,
     PowerMapCase,
     fuzz_identities,
     gamma_5n_closed,
@@ -144,7 +145,7 @@ def test_pk1half_reports_the_reduced_exponent(capsys):
     for p, n in fields:
         ctx = get_ctx(p, n)
         for k in range(1, 3 * n + 1):
-            case = PowerMapCase(ctx, parse_d(ctx, "pk1half", k), 0)
+            case = PowerMapCase(PowerMap(ctx, parse_d(ctx, "pk1half", k)), 0)
             assert case.d == normalize_exponent((p ** k + 1) // 2, ctx.q), (p, n, k)
     code, out, _ = run_cli(capsys, "spectrum", "--field", "7^2", "--d", "pk1half",
                            "--k", "5", "--c", "-1", "--format", "json")
@@ -315,12 +316,13 @@ def test_sweep_exit_puts_mismatch_before_inconsistent(monkeypatch, capsys, fmt):
     PREDICTOR_INCONSISTENT: the sweep exits 2, not 3."""
     real = verifier.dispatch
 
-    def rigged(ctx, d, c):
+    def rigged(power, c):
+        ctx = power.ctx
         if c == 0:
             return [SpectrumPrediction(TheoremId.INV_ODD, [], {0: ctx.q}, True)]
         if c == ctx.neg_one:
             return [SpectrumPrediction(TheoremId.INV_ODD, [], {0: ctx.q}, False)]
-        return real(ctx, d, c)
+        return real(power, c)
 
     monkeypatch.setattr(verifier, "dispatch", rigged)
     argv = ("sweep", "--field", "3^2", "--d", "inv", "--budget-n4", "0", "--format")

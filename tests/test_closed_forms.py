@@ -4,6 +4,7 @@ import pytest
 
 from cdspec import (
     Inapplicable,
+    PowerMap,
     PowerMapCase,
     c_spectrum,
     dispatch,
@@ -67,7 +68,7 @@ def test_inverse_odd_gf7_c3_case_iii():
     # c = 3: chi(c^2-4c) = chi(4) = 1, chi(1-4c) = chi(3) = -1, chi(3) = -1
     pred = predict_inverse_odd(7, 1, -1, -1)
     assert pred.omega == {0: 3, 1: 2, 2: 1, 3: 1}
-    brute = c_spectrum(PowerMapCase(get_ctx(7, 1), 5, 3))
+    brute = c_spectrum(PowerMapCase(PowerMap(get_ctx(7, 1), 5), 3))
     assert brute.positive() == pred.positive()
 
 
@@ -172,7 +173,7 @@ def test_gamma_closed_equals_direct():
 def test_n4_closed_5n():
     assert n4_closed_5n(1) == 25
     assert n4_closed_5n(2) == 1009
-    assert n4_closed_5n(2) == n4_bruteforce(PowerMapCase(get_ctx(5, 2), 11, 4))
+    assert n4_closed_5n(2) == n4_bruteforce(PowerMapCase(PowerMap(get_ctx(5, 2), 11), 4))
 
 
 def test_5n_minus3_half_spectra():
@@ -187,7 +188,7 @@ def test_5n_minus3_half_spectra():
 # ---------------------------------------------------------------------------
 
 def _theorems(ctx, d, c):
-    return [p.theorem for p in dispatch(ctx, d, c)]
+    return [p.theorem for p in dispatch(PowerMap(ctx, d), c)]
 
 
 def test_dispatch_inverse_char2():
@@ -231,6 +232,6 @@ def test_dispatch_excludes_c_values_for_inverse_odd():
 
 
 def test_condition_tuples_recorded():
-    pred = dispatch(get_ctx(5, 2), 11, 4)[0]
+    pred = dispatch(PowerMap(get_ctx(5, 2), 11), 4)[0]
     names = [k for k, _ in pred.conditions]
     assert "gamma_5n" in names

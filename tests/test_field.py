@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import threading
@@ -7,6 +8,7 @@ import pytest
 
 from cdspec import (
     CharTwoUnsupported,
+    PowerMap,
     PowerMapCase,
     DivisionByZero,
     FieldSpec,
@@ -21,8 +23,12 @@ from cdspec import (
     find_irreducible,
     gamma_5n_direct,
     gcd_pk1,
+    n4_bruteforce,
+    n4_fourier,
     parse_field_spec,
     quadratic_solution_count,
+    sweep_c,
+    verify_with_context,
 )
 from cdspec.field import DEFAULT_ENUM_CAP, is_prime
 from cdspec.verifier import SplitMix64
@@ -178,30 +184,19 @@ def test_zech_vec_add_sub_match_scalar_on_every_pair():
             assert int(ctx.vec_sub(np.int64(k), np.int64(1))) == sub[k, 1]
 
 
-def test_pow_table_threads_and_single_slot():
-    ctx = build_context(FieldSpec(3, 5))
-    order = ctx.q - 1
-    g = ctx.generator
-    g_pow = [ctx.pow(g, d) for d in range(ctx.q)]
-    errors = []
-
-    def worker(stride):
-        try:
-            for i in range(3000):
-                d = 1 + (stride * i) % order  # a new exponent on every call
-                if ctx.pow_table(d)[g] != g_pow[d]:
-                    errors.append(d)
-        except Exception as exc:  # reported through errors, asserted below
-            errors.append(exc)
-
+def _race(worker, args_per_thread):
+    """Run worker(*args, interval, step) on one thread per args.  step is a
+    barrier the workers pass before each round of reads, so their first
+    reads of fresh tables race; a worker that fails aborts it.  Switch
+    intervals short enough to interleave threads inside one table build are
+    tried in turn, since which one exposes a race varies from run to run."""
     old = sys.getswitchinterval()
     try:
-        # Switch intervals short enough to interleave threads inside one
-        # cache update; which one exposes a race varies from run to run.
         for interval in (5e-6, 1e-5, 2e-5):
             sys.setswitchinterval(interval)
-            threads = [threading.Thread(target=worker, args=(s,))
-                       for s in (1, 5, 7, 13, 17, 19)]
+            step = threading.Barrier(len(args_per_thread), timeout=60)
+            threads = [threading.Thread(target=worker, args=(*args, interval, step))
+                       for args in args_per_thread]
             for t in threads:
                 t.start()
             for t in threads:
@@ -209,18 +204,52 @@ def test_pow_table_threads_and_single_slot():
             assert not any(t.is_alive() for t in threads)
     finally:
         sys.setswitchinterval(old)
+
+
+def test_pow_table_threads_share_one_power_map():
+    """Threads read x^d of each fresh power map of one shared list at the
+    same time, so their first reads race; each also builds x^d for other
+    exponents with the stateless ctx.pow_table."""
+    ctx = build_context(FieldSpec(3, 5))
+    order = ctx.q - 1
+    g = ctx.generator
+    g_pow = [ctx.pow(g, d) for d in range(ctx.q)]
+    powers = {interval: [PowerMap(ctx, d) for d in range(1, ctx.q)]
+              for interval in (5e-6, 1e-5, 2e-5)}
+    errors = []
+
+    def worker(stride, interval, step):
+        try:
+            for i, power in enumerate(powers[interval]):
+                step.wait()
+                if power.powd[g] != g_pow[power.d]:
+                    errors.append(power.d)
+                e = 1 + (stride * i) % order
+                if ctx.pow_table(e)[g] != g_pow[e]:
+                    errors.append(("pow_table", e))
+        except Exception as exc:  # reported through errors, asserted below
+            step.abort()
+            errors.append(exc)
+
+    _race(worker, [(s,) for s in (1, 5, 7, 13, 17, 19)])
     assert errors == []
+    for maps in powers.values():
+        for power in maps:
+            assert power.powd is power.powd and not power.powd.flags.writeable
     for d in (1, 2, 121, order):
-        assert np.array_equal(ctx.pow_table(d), [ctx.pow(x, d) for x in range(ctx.q)])
-    assert ctx.pow_table(7) is ctx.pow_table(7)
+        expected = [ctx.pow(x, d) for x in range(ctx.q)]
+        assert np.array_equal(PowerMap(ctx, d).powd, expected)
+        assert np.array_equal(ctx.pow_table(d), expected)
+    assert ctx.pow_table(7) is not ctx.pow_table(7)  # a new array per call
 
 
-def test_pow_log_ratio_threads_and_single_slot():
-    """Threads alternating two exponents on one odd field never read lu of
-    one d with ratio of another, nor either of them with the wrong d.  The
-    x^d table shares the slot, so each thread also reads pow_table at the
-    exponents of the other threads."""
-    # A small field makes each slot update cheap, so updates are frequent.
+def test_log_ratio_threads_share_one_power_map():
+    """Threads read each generation of fresh power maps, one per d on an odd
+    field, at the same time and in rotated orders, so their first reads of
+    (lu, ratio), x^d and the N4 pairs race with each other.  Each checks lu
+    and ratio, x^d, N4 and Delta_c through cases on the shared maps, and the
+    stateless ctx.pow_table."""
+    # A small field makes each table build cheap, so first reads are frequent.
     ctx = build_context(FieldSpec(3, 3))
     order = ctx.q - 1
     x = ctx.generator  # x and x + 1 are nonzero, so both logs are defined
@@ -230,42 +259,52 @@ def test_pow_log_ratio_threads_and_single_slot():
     c = ctx.neg_one
     delta = {d: ctx.sub(ctx.pow(ctx.add(x, 1), d), ctx.mul(c, ctx.pow(x, d))) for d in ds}
     powers = {d: [ctx.pow(y, d) for y in range(ctx.q)] for d in ds}
+    n4 = {d: n4_bruteforce(PowerMapCase(PowerMap(ctx, d), c)) for d in ds}
+    generations = {interval: [{d: PowerMap(ctx, d) for d in ds} for _ in range(300)]
+                   for interval in (5e-6, 1e-5, 2e-5)}
     errors = []
 
-    def worker(offset):
-        pair = ds[2 * (offset % 2):][:2]
-        other = ds[2 * ((offset + 1) % 2):][:2]
+    def worker(offset, interval, step):
         try:
-            for i in range(2000):
-                d = pair[(offset + i) % 2]  # d1, d2, d1, ...
-                lu, ratio = ctx.pow_log_ratio(d)
-                if (int(lu[x]), int(ratio[x])) != expected[d]:
-                    errors.append(d)
-                e = other[i % 2]
+            for i, maps in enumerate(generations[interval]):
+                step.wait()
+                for j in range(len(ds)):
+                    d = ds[(offset + j) % len(ds)]
+                    lu, ratio = maps[d].log_ratio
+                    if (int(lu[x]), int(ratio[x])) != expected[d]:
+                        errors.append(d)
+                    if not np.array_equal(maps[d].powd, powers[d]):
+                        errors.append(("powd", d))
+                    if n4_fourier(PowerMapCase(maps[d], c)) != n4[d]:
+                        errors.append(("n4", d))
+                    if i % 8 == 0 and PowerMapCase(maps[d], c).delta_values()[x] != delta[d]:
+                        errors.append(("delta", d))
+                e = ds[(offset + i) % len(ds)]
                 if not np.array_equal(ctx.pow_table(e), powers[e]):
-                    errors.append(("pow", e))
-                if i % 8 == 0 and PowerMapCase(ctx, d, c).delta_values()[x] != delta[d]:
-                    errors.append(("delta", d))
+                    errors.append(("pow_table", e))
         except Exception as exc:  # reported through errors, asserted below
+            step.abort()
             errors.append(exc)
 
-    old = sys.getswitchinterval()
-    try:
-        for interval in (5e-6, 1e-5, 2e-5):
-            sys.setswitchinterval(interval)
-            threads = [threading.Thread(target=worker, args=(k,)) for k in range(6)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-            assert not any(t.is_alive() for t in threads)
-    finally:
-        sys.setswitchinterval(old)
+    _race(worker, [(k,) for k in range(6)])
     assert errors == []
-    assert ctx.pow_log_ratio(7)[0] is ctx.pow_log_ratio(7)[0]
-    t = ctx.pow_table(13)
-    ctx.pow_log_ratio(13)  # fills the slot's log tables, keeps its x^13
-    assert ctx.pow_table(13) is t
+    for gens in generations.values():
+        for power in gens[0].values():
+            assert power.log_ratio[0] is power.log_ratio[0]
+            assert power.n4_pairs is power.n4_pairs
+            assert power.powd is power.powd
+
+
+def test_context_attributes_do_not_change_after_construction():
+    """A context has no mutable state: what runs on it rebinds nothing."""
+    ctx = build_context(FieldSpec(3, 3))
+    before = dict(vars(ctx))
+    verify_with_context(ctx, 7, 2)
+    sweep_c(ctx, 25)
+    ctx.pow_table(5)
+    PowerMap(ctx, 5).log_ratio
+    assert vars(ctx).keys() == before.keys()
+    assert all(vars(ctx)[k] is v for k, v in before.items())
 
 
 def test_inverse_of_zero():
@@ -342,7 +381,8 @@ def test_vec_scale_shapes_and_writable_result():
     gives a writable result, which delta_values passes on to vec_sub."""
     ctx = get_ctx(3, 3)
     grid = np.arange(ctx.q, dtype=np.int64).reshape(3, 9)
-    cubes = ctx.pow_table(3)
+    power = PowerMap(ctx, 3)
+    cubes = power.powd
     for c in (0, 1, 2, ctx.neg_one, ctx.q - 1):
         scaled = ctx.vec_scale(grid, c)
         assert scaled.shape == (3, 9) and np.array_equal(scaled, _vec_scale_mod(ctx, grid, c))
@@ -353,7 +393,7 @@ def test_vec_scale_shapes_and_writable_result():
         scaled = ctx.vec_scale(cubes, c)
         assert np.array_equal(scaled, _vec_scale_mod(ctx, cubes, c))
         assert scaled.flags.writeable
-    assert not cubes.flags.writeable and ctx.pow_table(3) is cubes
+    assert not cubes.flags.writeable and power.powd is cubes
 
 
 def test_tables_are_read_only():
@@ -361,17 +401,29 @@ def test_tables_are_read_only():
     for name in ("exp", "log", "succ", "zech"):
         with pytest.raises(ValueError):
             getattr(ctx, name)[1] = 0
-    cubes = ctx.pow_table(3)
+    fresh = ctx.pow_table(3)
+    with pytest.raises(ValueError):
+        fresh[1] = 0
+    assert ctx.pow_table(3) is not fresh and np.array_equal(ctx.pow_table(3), fresh)
+    power = PowerMap(ctx, 3)
+    cubes = power.powd
     with pytest.raises(ValueError):
         cubes[1] = 0
-    assert ctx.pow_table(3) is cubes
+    assert power.powd is cubes
     assert int(cubes[2]) == ctx.pow(2, 3)
-    lu, ratio = ctx.pow_log_ratio(3)
+    lu, ratio = power.log_ratio
     for arr in (lu, ratio):
         with pytest.raises(ValueError):
             arr[1] = 0
-    assert ctx.pow_log_ratio(3)[0] is lu and ctx.pow_log_ratio(3)[1] is ratio
+    assert power.log_ratio[0] is lu and power.log_ratio[1] is ratio
     assert int(lu[4]) == int(ctx.log[ctx.pow(ctx.add(4, 1), 3)])  # 4 is not 0 or -1
+    for _, pair1, pair0 in power.n4_pairs:
+        for arr in (pair1, pair0):
+            with pytest.raises(ValueError):
+                arr[1] = 0
+    for name in ("ctx", "d", "powd"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(power, name, None)
 
 
 # ---------------------------------------------------------------------------

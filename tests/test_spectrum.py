@@ -7,6 +7,7 @@ import pytest
 from cdspec import (
     BudgetExceeded,
     FieldSpec,
+    PowerMap,
     PowerMapCase,
     build_context,
     c_ddt_entry,
@@ -67,7 +68,7 @@ def _assert_delta_matches_scalar(ctx, d, cs):
     v = [ctx.pow(x, d) for x in range(q)]
     for c in cs:
         expected = [ctx.sub(u[x], ctx.mul(c, v[x])) for x in range(q)]
-        assert PowerMapCase(ctx, d, c).delta_values().tolist() == expected, (ctx, d, c)
+        assert PowerMapCase(PowerMap(ctx, d), c).delta_values().tolist() == expected, (ctx, d, c)
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +86,7 @@ def test_normalize_exponent():
 
 def test_case_rejects_bad_c():
     with pytest.raises(ValueError):
-        PowerMapCase(get_ctx(5, 1), 3, 5)
+        PowerMapCase(PowerMap(get_ctx(5, 1), 3), 5)
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +94,7 @@ def test_case_rejects_bad_c():
 # ---------------------------------------------------------------------------
 
 def test_c_delta_gf5_examples():
-    case = PowerMapCase(get_ctx(5, 1), 3, 4)  # c = -1
+    case = PowerMapCase(PowerMap(get_ctx(5, 1), 3), 4)  # c = -1
     assert c_delta(case, 1) == 2  # x in {0, 3}
     assert c_delta(case, 2) == 0
 
@@ -102,7 +103,7 @@ def test_c_delta_c0_bijective():
     for p, n, d in [(5, 1, 3), (2, 3, 3), (7, 1, 5)]:
         ctx = get_ctx(p, n)
         assert math.gcd(d, ctx.q - 1) == 1
-        case = PowerMapCase(ctx, d, 0)
+        case = PowerMapCase(PowerMap(ctx, d), 0)
         for b in range(ctx.q):
             assert c_delta(case, b) == 1
 
@@ -114,7 +115,7 @@ def test_c_delta_matches_scalar_count():
         for _ in range(10):
             d = 1 + rng.below(ctx.q - 2) if ctx.q > 3 else 1
             c = rng.below(ctx.q)
-            case = PowerMapCase(ctx, d, c)
+            case = PowerMapCase(PowerMap(ctx, d), c)
             for b in range(ctx.q):
                 assert c_delta(case, b) == _delta_count_scalar(ctx, d, c, b)
 
@@ -126,7 +127,7 @@ def test_ddt_row_scaling_law():
         for _ in range(8):
             d = 1 + rng.below(ctx.q - 2)
             c = rng.below(ctx.q)
-            case = PowerMapCase(ctx, d, c)
+            case = PowerMapCase(PowerMap(ctx, d), c)
             for _ in range(12):
                 a = 1 + rng.below(ctx.q - 1)
                 b = rng.below(ctx.q)
@@ -144,14 +145,14 @@ def test_ddt_row_scaling_law():
 
 def test_ddt_row_zero():
     ctx = get_ctx(5, 1)
-    case = PowerMapCase(ctx, 3, 4)  # gcd(3, 4) = 1, c != 1
+    case = PowerMapCase(PowerMap(ctx, 3), 4)  # gcd(3, 4) = 1, c != 1
     assert c_ddt_entry(case, 0, 0) == 1
     for b in range(1, 5):
         assert c_ddt_entry(case, 0, b) == 1  # bijection when gcd = 1
-    gold = PowerMapCase(get_ctx(5, 1), 2, 0)  # gcd(2, 4) = 2, c = 0
+    gold = PowerMapCase(PowerMap(get_ctx(5, 1), 2), 0)  # gcd(2, 4) = 2, c = 0
     counts = [c_ddt_entry(gold, 0, b) for b in range(5)]
     assert counts[0] == 1 and sorted(counts[1:]) == [0, 0, 2, 2]
-    classical = PowerMapCase(ctx, 3, 1)  # c = 1: row 0 is degenerate
+    classical = PowerMapCase(PowerMap(ctx, 3), 1)  # c = 1: row 0 is degenerate
     assert c_ddt_entry(classical, 0, 0) == 5
     assert c_ddt_entry(classical, 0, 2) == 0
 
@@ -161,31 +162,31 @@ def test_ddt_row_zero():
 # ---------------------------------------------------------------------------
 
 def test_spectrum_gf5_cube():
-    spec = c_spectrum(PowerMapCase(get_ctx(5, 1), 3, 4))
+    spec = c_spectrum(PowerMapCase(PowerMap(get_ctx(5, 1), 3), 4))
     assert spec.omega == {0: 2, 1: 1, 2: 2}
     assert spec.uniformity == 2
 
 
 def test_spectrum_gf5_identity():
-    spec = c_spectrum(PowerMapCase(get_ctx(5, 1), 1, 4))
+    spec = c_spectrum(PowerMapCase(PowerMap(get_ctx(5, 1), 1), 4))
     assert spec.positive() == {1: 5}
     assert spec.omega[0] == 0  # omega_0 is always materialised
 
 
 def test_spectrum_gf9_d6():
-    spec = c_spectrum(PowerMapCase(get_ctx(3, 2), 6, 2))
+    spec = c_spectrum(PowerMapCase(PowerMap(get_ctx(3, 2), 6), 2))
     assert spec.positive() == {0: 4, 1: 1, 2: 4}
 
 
 def test_spectrum_c1_classical_row():
     # x^3 over GF(8) is APN: the a = 1 row has only 0s and 2s
-    spec = c_spectrum(PowerMapCase(get_ctx(2, 3), 3, 1))
+    spec = c_spectrum(PowerMapCase(PowerMap(get_ctx(2, 3), 3), 1))
     assert spec.positive() == {0: 4, 2: 4}
 
 
 def test_uniformity_classification():
     def classify(p, d, c):
-        u = c_spectrum(PowerMapCase(get_ctx(p, 1), d, c)).uniformity
+        u = c_spectrum(PowerMapCase(PowerMap(get_ctx(p, 1), d), c)).uniformity
         return u, uniformity_label(u)
 
     assert classify(5, 1, 4) == (1, "PcN")
@@ -200,7 +201,7 @@ def test_every_spectrum_satisfies_counting_identity():
         for _ in range(25):
             d = 1 + rng.below(ctx.q - 2)
             c = rng.below(ctx.q)
-            spec = c_spectrum(PowerMapCase(ctx, d, c))
+            spec = c_spectrum(PowerMapCase(PowerMap(ctx, d), c))
             assert sum(spec.omega.values()) == ctx.q
             assert sum(i * w for i, w in spec.omega.items()) == ctx.q
 
@@ -210,15 +211,15 @@ def test_every_spectrum_satisfies_counting_identity():
 # ---------------------------------------------------------------------------
 
 def test_n4_gf5_linear():
-    assert n4_bruteforce(PowerMapCase(get_ctx(5, 1), 1, 4)) == 25
+    assert n4_bruteforce(PowerMapCase(PowerMap(get_ctx(5, 1), 1), 4)) == 25
 
 
 def test_n4_gf5_cube():
-    assert n4_bruteforce(PowerMapCase(get_ctx(5, 1), 3, 4)) == 41
+    assert n4_bruteforce(PowerMapCase(PowerMap(get_ctx(5, 1), 3), 4)) == 41
 
 
 def test_n4_gf25_d11():
-    assert n4_bruteforce(PowerMapCase(get_ctx(5, 2), 11, 4)) == 1009
+    assert n4_bruteforce(PowerMapCase(PowerMap(get_ctx(5, 2), 11), 4)) == 1009
 
 
 def test_n4_matches_triple_loop():
@@ -228,7 +229,7 @@ def test_n4_matches_triple_loop():
         for _ in range(6):
             d = 1 + rng.below(ctx.q - 2) if ctx.q > 3 else 1
             c = rng.below(ctx.q)
-            case = PowerMapCase(ctx, d, c)
+            case = PowerMapCase(PowerMap(ctx, d), c)
             assert n4_bruteforce(case) == _n4_triple_loop(ctx, case.d, c), (p, n, d, c)
 
 
@@ -251,18 +252,19 @@ def test_log_domain_delta_values_sampled_c():
 
 
 def test_delta_values_interleaved_exponents_match_fresh_context():
-    """The context keeps log tables for the last d: alternating exponents,
-    and the c = 0 path between them, give what a fresh context gives."""
+    """Two power maps of different d on one context, read in alternation,
+    with the c = 0 path between them, give what a fresh context gives."""
     rng = SplitMix64(43)
     for p, n in ((3, 5), (5, 3), (7, 2)):
         ctx = build_context(FieldSpec(p, n))
         q = ctx.q
         d1, d2 = q - 2, (q - 1) // 2
+        powers = {d: PowerMap(ctx, d) for d in (d1, d2)}
         for d in (d1, d2, d1, d1, d2, d2, d1, d2):
             for c in (ctx.neg_one, 0, 2 + rng.below(q - 2)):
-                fresh = build_context(FieldSpec(p, n))
-                assert np.array_equal(PowerMapCase(ctx, d, c).delta_values(),
-                                      PowerMapCase(fresh, d, c).delta_values()), (p, n, d, c)
+                fresh = PowerMap(build_context(FieldSpec(p, n)), d)
+                assert np.array_equal(PowerMapCase(powers[d], c).delta_values(),
+                                      PowerMapCase(fresh, c).delta_values()), (p, n, d, c)
 
 
 @pytest.mark.parametrize("block", [spectrum._N4_BLOCK, 64])
@@ -274,14 +276,14 @@ def test_n4_blocks_match_per_alpha_count(monkeypatch, block):
         ctx = get_ctx(p, n)
         for d in {1, 3, max(ctx.q - 2, 1), 1 + rng.below(ctx.q - 1)}:
             for c in {0, 1, ctx.neg_one, rng.below(ctx.q)}:
-                case = PowerMapCase(ctx, d, c)
+                case = PowerMapCase(PowerMap(ctx, d), c)
                 assert n4_bruteforce(case) == _n4_per_alpha(ctx, case.d, c), (p, n, d, c)
 
 
 def test_n4_budget():
     with pytest.raises(BudgetExceeded):
-        n4_bruteforce(PowerMapCase(get_ctx(3, 6), 4, 2))
-    assert n4_bruteforce(PowerMapCase(get_ctx(3, 6), 4, 2), budget=729) > 0
+        n4_bruteforce(PowerMapCase(PowerMap(get_ctx(3, 6), 4), 2))
+    assert n4_bruteforce(PowerMapCase(PowerMap(get_ctx(3, 6), 4), 2), budget=729) > 0
 
 
 def test_n4_minus_one_divisible_by_q_minus_1():
@@ -292,7 +294,7 @@ def test_n4_minus_one_divisible_by_q_minus_1():
             d = 1 + rng.below(ctx.q - 2)
             u = rng.below(ctx.q - 1)
             c = u if u == 0 else u + 1  # c != 1
-            n4 = n4_bruteforce(PowerMapCase(ctx, d, c))
+            n4 = n4_bruteforce(PowerMapCase(PowerMap(ctx, d), c))
             assert (n4 - 1) % (ctx.q - 1) == 0
 
 
@@ -304,11 +306,14 @@ _FOURIER_FIELDS = [(2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3),
 
 @pytest.mark.parametrize("p,n", _FOURIER_FIELDS, ids=[f"{p}^{n}" for p, n in _FOURIER_FIELDS])
 def test_n4_fourier_matches_bruteforce_on_whole_fields(p, n):
+    """One PowerMap per d serves every c, so its transforms are shared; the
+    reference reads a fresh one each time."""
     ctx = get_ctx(p, n)
     for d in range(1, ctx.q):
+        power = PowerMap(ctx, d)
         for c in range(ctx.q):
-            case = PowerMapCase(ctx, d, c)
-            assert n4_fourier(case) == n4_bruteforce(case), (p, n, d, c)
+            fresh = PowerMapCase(PowerMap(ctx, d), c)
+            assert n4_fourier(PowerMapCase(power, c)) == n4_bruteforce(fresh), (p, n, d, c)
 
 
 def test_n4_fourier_large_p_and_several_primes():
@@ -320,7 +325,7 @@ def test_n4_fourier_large_p_and_several_primes():
         q = ctx.q
         for d, c in [(3, 2), (q - 2, 5 % q), ((q - 1) // 2, ctx.neg_one), (5, 0),
                      (7, 1), (q - 1, 3 % q)]:
-            case = PowerMapCase(ctx, d, c)
+            case = PowerMapCase(PowerMap(ctx, d), c)
             assert n4_fourier(case, budget=q) == n4_bruteforce(case, budget=q), (p, n, d, c)
 
 
@@ -332,7 +337,7 @@ def test_n4_fourier_other_modulus_and_small_blocks(monkeypatch):
         ctx = build_context(FieldSpec(p, n, find_irreducible(p, n, 1 if n > 1 else 0)))
         for d in range(1, ctx.q, 3):
             for c in (0, 1, 2, ctx.neg_one, ctx.q - 2):
-                case = PowerMapCase(ctx, d, c)
+                case = PowerMapCase(PowerMap(ctx, d), c)
                 assert n4_fourier(case) == n4_bruteforce(case), (p, n, d, c)
 
 
@@ -351,10 +356,10 @@ def test_fourier_moduli_are_primes_with_a_root_of_order_p():
 
 def test_n4_fourier_budget():
     with pytest.raises(BudgetExceeded):
-        n4_fourier(PowerMapCase(get_ctx(3, 6), 4, 2))
+        n4_fourier(PowerMapCase(PowerMap(get_ctx(3, 6), 4), 2))
     with pytest.raises(BudgetExceeded):
-        n4_fourier(PowerMapCase(get_ctx(5, 1), 3, 4), budget=4)
-    assert n4_fourier(PowerMapCase(get_ctx(3, 6), 4, 2), budget=729) > 0
+        n4_fourier(PowerMapCase(PowerMap(get_ctx(5, 1), 3), 4), budget=4)
+    assert n4_fourier(PowerMapCase(PowerMap(get_ctx(3, 6), 4), 2), budget=729) > 0
 
 
 @pytest.mark.parametrize("p,n", [(2, 12), (3, 8), (7, 4), (2, 16)])
@@ -363,7 +368,7 @@ def test_eq2_beyond_the_bruteforce_budget(p, n):
     q = ctx.q
     for d in (q - 2, 7):
         for c in (2, q - 1):
-            case = PowerMapCase(ctx, d, c)
+            case = PowerMapCase(PowerMap(ctx, d), c)
             n4 = n4_fourier(case, budget=q)
             assert check_identities(c_spectrum(case), n4).eq2_ok, (p, n, d, c)
 
@@ -392,7 +397,7 @@ def test_check_identities_tampered():
 
 
 def test_check_identities_c1_skips_eq2():
-    spec = c_spectrum(PowerMapCase(get_ctx(2, 3), 3, 1))
+    spec = c_spectrum(PowerMapCase(PowerMap(get_ctx(2, 3), 3), 1))
     rep = check_identities(spec, n4=1)
     assert rep.eq2_ok is None
 
@@ -405,7 +410,7 @@ def test_eq2_inversion_matches_bruteforce():
             d = 1 + rng.below(ctx.q - 2)
             u = rng.below(ctx.q - 1)
             c = u if u == 0 else u + 1
-            case = PowerMapCase(ctx, d, c)
+            case = PowerMapCase(PowerMap(ctx, d), c)
             spec = c_spectrum(case)
             n4 = n4_bruteforce(case, budget=ctx.q)
             assert check_identities(spec, n4).eq2_ok, (p, n, d, c)
@@ -421,7 +426,7 @@ def test_involution_parity_even_d_c_minus_one():
     for p, n in [(3, 2), (3, 3), (3, 6), (5, 2), (7, 2), (11, 1), (13, 1)]:
         ctx = get_ctx(p, n)
         for d in (2, 4, 6):
-            case = PowerMapCase(ctx, d, ctx.neg_one)
+            case = PowerMapCase(PowerMap(ctx, d), ctx.neg_one)
             hist = case.delta_histogram()
             xf = ctx.neg(ctx.inv(2 % ctx.p))
             b_star = ctx.sub(
@@ -448,7 +453,7 @@ def test_inversion_symmetry_of_delta(p, n):
         d = members[0]
         sign = ctx.pow(ctx.neg_one, d)
         for c in range(1, q):
-            case, partner = PowerMapCase(ctx, d, c), PowerMapCase(ctx, d, ctx.inv(c))
+            case, partner = PowerMapCase(PowerMap(ctx, d), c), PowerMapCase(PowerMap(ctx, d), ctx.inv(c))
             scaled = ctx.vec_scale(partner.delta_values(), ctx.neg(ctx.mul(c, sign)))
             assert np.array_equal(case.delta_values()[reflect], scaled), (p, n, d, c)
             assert c_spectrum(case).omega == c_spectrum(partner).omega, (p, n, d, c)
@@ -510,6 +515,6 @@ def test_basis_independence_of_spectra():
         ctx_b = build_context(FieldSpec(p, n, alt))
         c_a = ctx_a.neg_one if c_const == "neg1" else c_const
         c_b = ctx_b.neg_one if c_const == "neg1" else c_const
-        spec_a = c_spectrum(PowerMapCase(ctx_a, d, c_a))
-        spec_b = c_spectrum(PowerMapCase(ctx_b, d, c_b))
+        spec_a = c_spectrum(PowerMapCase(PowerMap(ctx_a, d), c_a))
+        spec_b = c_spectrum(PowerMapCase(PowerMap(ctx_b, d), c_b))
         assert spec_a.omega == spec_b.omega
