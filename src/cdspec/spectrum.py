@@ -4,6 +4,9 @@ The single difference function Delta_c(x) = (x+1)^d - c*x^d determines the
 whole c-DDT of a power map: row a scales to row 1, and the row-0 counts are
 controlled by gcd(d, q-1).  The spectrum is one histogram pass over the
 field, so it costs O(q) per (d, c).  A PowerMap holds what depends on d.
+A DeltaSample evaluates Delta_c on a fixed subset of x for any d: counts over
+a subset never exceed counts over the field, so a value hit more than U times
+there proves the uniformity exceeds U before any q-sized table is built.
 
 The quadruple count N4 of the second identity has two exact paths.
 n4_fourier, which the verifier runs, sums products of additive-character
@@ -184,6 +187,26 @@ class PowerMapCase:
         return self._hist
 
 
+class DeltaSample:
+    """Delta_c(x) on a fixed array x of elements outside {0, -1}, for any d
+    and c, from log x and log(x+1) taken once."""
+
+    def __init__(self, ctx: FieldContext, x: np.ndarray):
+        self.ctx, self.x = ctx, x
+        self.logs = np.stack([ctx.log[ctx.succ[x]], ctx.log[x]])  # log(x+1), log x
+
+    def delta(self, d: int, c: int) -> np.ndarray:
+        """(x+1)^d - c*x^d on the sample; d in [1, q-1]."""
+        ctx = self.ctx
+        u, v = ctx.exp[self.logs * d % (ctx.q - 1)]  # products below 2^44
+        return ctx.vec_sub(u, ctx.vec_scale(v, c))
+
+    def exceeds(self, d: int, c: int, bound: int) -> bool:
+        """True when some value of Delta_c is hit more than bound times on the
+        sample, which proves that the uniformity of x^d at c exceeds bound."""
+        return int(np.bincount(self.delta(d, c)).max()) > bound
+
+
 @dataclass
 class CDiffSpectrum:
     """Sparse multiset {i -> omega_i}; omega_0 is always materialised."""
@@ -355,11 +378,32 @@ def _transform_leading_digit(a: np.ndarray, zp: np.ndarray, ell: int) -> np.ndar
     p = len(zp)
     x = a.reshape(2, p, -1)
     out = np.empty_like(x)
-    k = np.arange(p, dtype=np.int64)
+    k = np.arange(p, dtype=np.uint64)
     rows = max(1, _DFT_BLOCK // p)
     for lo in range(0, p, rows):
-        out[:, lo:lo + rows] = zp[k[lo:lo + rows, None] * k % p] @ x % ell
+        out[:, lo:lo + rows] = zp[_dft_index(k, lo, min(rows, p - lo))] @ x % ell
     return out.transpose(0, 2, 1).reshape(a.shape)
+
+
+def _dft_index(k: np.ndarray, lo: int, rows: int) -> np.ndarray:
+    """j*k mod p for j in [lo, lo + rows), where k = arange(p) as uint64.
+
+    Only row lo divides: row j + s is row j plus s*k mod p, for s = 1, 2,
+    4, ..., and a sum a < 2p is reduced by min(a, a - p), where a - p wraps
+    above a when a < p; an int64 % over all p^2 entries costs twice as much
+    at p = 617.  Every entry is below p, so the int64 view indexes as is."""
+    p = np.uint64(len(k))
+    idx = np.empty((rows, len(k)), dtype=np.uint64)
+    idx[0] = np.uint64(lo) * k % p  # lo * k < p^2 < 2^44
+    step, s = k, 1  # step = s*k mod p
+    while s < rows:
+        t = min(s, rows - s)
+        block = idx[s:s + t]
+        np.add(idx[:t], step, out=block)
+        np.minimum(block, block - p, out=block)
+        step = np.minimum(step + step, step + step - p)
+        s += t
+    return idx.view(np.int64)
 
 
 def n4_fourier(case: PowerMapCase, budget: int = DEFAULT_N4_BUDGET) -> int:

@@ -20,7 +20,7 @@ from cdspec import (
     normalize_exponent,
 )
 from cdspec import spectrum
-from cdspec.spectrum import CDiffSpectrum, cyclotomic_classes, uniformity_label
+from cdspec.spectrum import CDiffSpectrum, DeltaSample, cyclotomic_classes, uniformity_label
 from cdspec.verifier import SplitMix64
 
 from conftest import get_ctx, is_prime_trial, odd_fields
@@ -267,6 +267,32 @@ def test_delta_values_interleaved_exponents_match_fresh_context():
                                       PowerMapCase(fresh, c).delta_values()), (p, n, d, c)
 
 
+_SAMPLE_FIELDS = [(2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3),
+                  (5, 1), (5, 2), (7, 1), (7, 2), (11, 1), (13, 1)]
+
+
+@pytest.mark.parametrize("p,n", _SAMPLE_FIELDS, ids=[f"{p}^{n}" for p, n in _SAMPLE_FIELDS])
+def test_delta_sample_matches_scalar_on_whole_fields(p, n):
+    """The sample is every x outside {0, -1}; every d and every c, 0 and 1
+    included.  Its counts never exceed the field's, so exceeds() is True
+    only where the uniformity is above the bound."""
+    ctx = get_ctx(p, n)
+    q = ctx.q
+    x = [v for v in range(q) if v not in (0, ctx.neg_one)]
+    sample = DeltaSample(ctx, np.array(x, dtype=np.int64))
+    assert sample.x.tolist() == x
+    for d in range(1, q):
+        u = [ctx.pow(ctx.add(v, 1), d) for v in x]
+        v = [ctx.pow(v, d) for v in x]
+        for c in range(q):
+            got = sample.delta(d, c)
+            assert got.tolist() == [ctx.sub(a, ctx.mul(c, b)) for a, b in zip(u, v)], (p, n, d, c)
+            hist = PowerMapCase(PowerMap(ctx, d), c).delta_histogram()
+            assert (np.bincount(got, minlength=q) <= hist).all()
+            for bound in range(4):
+                assert not sample.exceeds(d, c, bound) or hist.max() > bound, (p, n, d, c)
+
+
 @pytest.mark.parametrize("block", [spectrum._N4_BLOCK, 64])
 def test_n4_blocks_match_per_alpha_count(monkeypatch, block):
     monkeypatch.setattr(spectrum, "_N4_BLOCK", block)  # 64: several blocks, a partial last one
@@ -339,6 +365,24 @@ def test_n4_fourier_other_modulus_and_small_blocks(monkeypatch):
             for c in (0, 1, 2, ctx.neg_one, ctx.q - 2):
                 case = PowerMapCase(PowerMap(ctx, d), c)
                 assert n4_fourier(case) == n4_bruteforce(case), (p, n, d, c)
+
+
+def test_dft_index_is_exact_up_to_the_context_cap():
+    """j*k mod p by doubled row steps, for every row split of small primes,
+    and for the last rows of 65537, where p^2 passes int32, and of the
+    largest prime below 2^22."""
+    for p in (2, 3, 5, 7, 13, 131, 617):
+        k = np.arange(p, dtype=np.uint64)
+        want = np.multiply.outer(np.arange(p), np.arange(p)) % p
+        for rows in (1, 2, 3, 5, 8, p):
+            for lo in range(0, p, rows):
+                got = spectrum._dft_index(k, lo, min(rows, p - lo))
+                assert got.dtype == np.int64 and (got == want[lo:lo + rows]).all(), (p, rows, lo)
+    for p, rows in ((65537, 6), (4194301, 2)):
+        assert is_prime_trial(p)
+        got = spectrum._dft_index(np.arange(p, dtype=np.uint64), p - rows, rows)
+        for j, row in zip(range(p - rows, p), got):
+            assert (row == j * np.arange(p, dtype=np.int64) % p).all(), (p, j)
 
 
 def test_fourier_moduli_are_primes_with_a_root_of_order_p():

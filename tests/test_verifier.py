@@ -19,7 +19,15 @@ from cdspec import (
     verify_with_context,
 )
 from cdspec.closed_forms import TheoremId
-from cdspec.spectrum import DEFAULT_N4_BUDGET, cyclotomic_class, cyclotomic_classes
+from cdspec.spectrum import (
+    DEFAULT_N4_BUDGET,
+    PowerMap,
+    PowerMapCase,
+    c_spectrum,
+    cyclotomic_class,
+    cyclotomic_classes,
+    omega_doc,
+)
 from cdspec.verifier import (
     MATCH,
     MISMATCH,
@@ -486,6 +494,50 @@ def test_scan_never_reports_two_members_of_a_class():
     ds = [row["d"] for row in result.rows]
     for d in ds:
         assert (d * 5) % 24 not in ds or (d * 5) % 24 == d
+
+
+_SCAN_FIELDS = [(2, 12), (3, 8), (7, 4), (2, 14)]
+
+
+@pytest.mark.parametrize("p,n", _SCAN_FIELDS, ids=[f"{p}^{n}" for p, n in _SCAN_FIELDS])
+def test_scan_matches_one_spectrum_per_class(p, n):
+    """A scan's rows equal full spectra of every class filtered by the bound,
+    with no class tested on a sample.  U = 1 and 2 run the sample on these
+    fields and reject classes with it; U = 3 is too large for it there."""
+    ctx = get_ctx(p, n)
+    q = ctx.q
+    rng = SplitMix64(q)
+    for c in (0, ctx.neg_one, 2 + rng.below(q - 2), 2 + rng.below(q - 2)):
+        spectra = [(members, c_spectrum(PowerMapCase(PowerMap(ctx, members[0]), c)))
+                   for members in cyclotomic_classes(p, q)]
+        for bound in (1, 2, 3):
+            want = [{"d": m[0], "class": m, "uniformity": s.uniformity, "omega": omega_doc(s.omega)}
+                    for m, s in spectra if s.uniformity <= bound]
+            with mock.patch.object(verifier, "c_spectrum", wraps=c_spectrum) as spy:
+                assert scan_exponents(ctx, c, bound).rows == want, (p, n, c, bound)
+            sample = verifier._scan_sample(ctx, bound)
+            assert (sample is None) == (bound == 3), (p, n, bound)
+            rejected = [s.uniformity for m, s in spectra
+                        if sample is not None and sample.exceeds(m[0], c, bound)]
+            assert spy.call_count == len(spectra) - len(rejected), (p, n, c, bound)
+            if sample is not None:
+                assert rejected and min(rejected) > bound, (p, n, c, bound)
+
+
+def test_scan_sample_size_follows_q_and_the_bound():
+    """m is the least sample whose expected count of (U+1)-fold collisions
+    under a random map, m^(U+1) / ((U+1)! q^U), reaches the constant."""
+    for (p, n), bound in (((2, 12), 1), ((2, 14), 1), ((2, 14), 2), ((3, 8), 2), ((7, 4), 2),
+                          ((2, 16), 3)):
+        ctx = get_ctx(p, n)
+        m = len(verifier._scan_sample(ctx, bound).x)
+        expected = lambda m: m ** (bound + 1) / (math.factorial(bound + 1) * ctx.q ** bound)
+        assert expected(m - 1) < verifier._SAMPLE_COLLISIONS <= expected(m), (p, n, bound)
+    assert verifier._scan_sample(get_ctx(2, 14), 2).x.tolist() == list(range(2, 2007))  # -1 = 1
+    assert verifier._scan_sample(get_ctx(3, 8), 2).x.tolist()[:4] == [1, 3, 4, 5]  # -1 = 2
+    for bound in (-1, 3, 4096, 10 ** 400):
+        assert verifier._scan_sample(get_ctx(2, 14), bound) is None
+    assert scan_exponents(get_ctx(2, 5), 3, 10 ** 400).rows  # every class passes
 
 
 # ---------------------------------------------------------------------------
