@@ -4,12 +4,12 @@ Field elements are encoded as integers in [0, p^n): the little-endian
 base-p digits of the encoding are the coefficients of the residue
 polynomial.  A FieldContext carries dense, read-only tables, one per fact:
 exp (antilog), log and succ (x -> x + 1); in odd characteristic also the
-Zech-logarithm table Z(k) = log(1 + g^k), through which the vectorised
-vec_add/vec_sub work (characteristic 2 adds by XOR).  Every field order up
-to DEFAULT_ENUM_CAP gets its tables.  The quadratic character and the trace
-are derived, not stored: the generator g is a nonsquare, so chi(g^k) =
-(-1)^k, and the trace is GF(p)-linear in the digits.  A context has no
-mutable state; spectrum.PowerMap owns the tables that depend on a d.
+Zech-logarithm table Z(k) = log(1 + g^k), read by zech_sum alone: the sum
+behind vec_add/vec_sub, the spectrum and the scan sample (characteristic 2
+adds by XOR).  Every field order up to DEFAULT_ENUM_CAP gets its tables.
+The quadratic character and the trace are derived, not stored: g is a
+nonsquare, so chi(g^k) = (-1)^k, and the trace is GF(p)-linear in the
+digits.  A context is immutable; spectrum.PowerMap owns the tables of a d.
 
 The tables are built from GF(p)-linear maps on digit vectors.  The matrix
 of x -> a*x is a combination of powers of the modulus's companion matrix.
@@ -486,23 +486,36 @@ class FieldContext:
         return self._zech_add(a, b, (self.q - 1) // 2)  # -1 = g^((q-1)/2)
 
     def _zech_add(self, a, b, b_shift: int) -> np.ndarray:
-        """a + g^b_shift * b in odd characteristic, by Zech logarithms:
-        a + b' = a * (1 + b'/a), so log(a + b') = log a + Z(log b' - log a)."""
+        """a + g^b_shift * b in odd characteristic: a + b' = a * (1 + b'/a),
+        by zech_sum at log a and log(b'/a) = log b + b_shift - log a."""
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         shape = np.broadcast_shapes(a.shape, b.shape)
         a, b = np.broadcast_arrays(np.atleast_1d(a), np.atleast_1d(b))
         order = self.q - 1
-        la = self.log[a]
+        la = self.log[a]  # -1 at a = 0, which zech_sum also takes
         lb = self.log[b] + b_shift
-        z = self.zech[(lb - la) % order]
-        out = self.exp[(la + z) % order]
-        out[z < 0] = 0  # a = -b'
+        t = lb - la
+        t[t >= order] -= order  # into [-(q-1), q-1), as b_shift <= (q-1)/2
+        out = self.zech_sum(la, t)
         a_zero = a == 0
         out[a_zero] = self.exp[lb[a_zero] % order]  # b' alone
         b_zero = b == 0
         out[b_zero] = a[b_zero]
         return out.reshape(shape)
+
+    def zech_sum(self, la: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """g^la * (1 + g^t) = g^(la + Z(t)) elementwise, 0 where g^t = -1, for
+        la in [0, q-1) (or -1, as Z >= 1) and t in [-(q-1), q-1), where a
+        negative index wraps: no pass reduces mod q-1.  Overwrites t."""
+        z = self.zech[t]
+        zero = z < 0  # 1 + g^t = 0
+        np.add(la, z, out=t)
+        t -= self.q - 1
+        t[zero] = 0  # la + z - (q-1) may be -q there
+        out = self.exp[t]
+        out[zero] = 0
+        return out
 
     def vec_mul_poly(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Elementwise field product by polynomial convolution; table-free,

@@ -161,21 +161,12 @@ class PowerMapCase:
             shifted = powd[ctx.succ]  # (x+1)^d
             return ctx.vec_sub(shifted, ctx.vec_scale(powd, self.c))
         # Log domain: with u = (x+1)^d and v = x^d, u - c*v = u*(1 + (-c)*v/u),
-        # so log Delta = log u + Z(log(v/u) + log(-c)).  log u and log(v/u)
+        # so Delta = zech_sum(log u, log(v/u) + log(-c)).  log u and log(v/u)
         # depend on d alone, and the PowerMap keeps them.
         order = ctx.q - 1
         lu, ratio = self.power.log_ratio
-        log_neg_c = (int(ctx.log[self.c]) + order // 2) % order
-        # Both gathers index in [-(q-1), q-1), where a negative index wraps
-        # around, so no pass reduces mod q-1.
-        t = ratio + (log_neg_c - order)
-        z = ctx.zech[t]
-        zero = z < 0  # u = c*v, so Delta = 0
-        np.add(lu, z, out=t)
-        t -= order
-        t[zero] = 0  # lu + z - (q-1) may be -q there
-        out = ctx.exp[t]
-        out[zero] = 0
+        log_neg_c = (int(ctx.log[self.c]) + order // 2) % order  # -1 = g^((q-1)/2)
+        out = ctx.zech_sum(lu, ratio + (log_neg_c - order))  # in [-(q-1), q-1)
         out[0] = 1  # x = 0: Delta = 1^d
         out[ctx.neg_one] = ctx.neg(ctx.mul(self.c, ctx.pow(ctx.neg_one, self.d)))  # x = -1: u = 0
         return out
@@ -189,17 +180,25 @@ class PowerMapCase:
 
 class DeltaSample:
     """Delta_c(x) on a fixed array x of elements outside {0, -1}, for any d
-    and c, from log x and log(x+1) taken once."""
+    and c, from log(x+1), log x and log(x/(x+1)) taken once."""
 
     def __init__(self, ctx: FieldContext, x: np.ndarray):
         self.ctx, self.x = ctx, x
         self.logs = np.stack([ctx.log[ctx.succ[x]], ctx.log[x]])  # log(x+1), log x
+        ratio = self.logs[1] - self.logs[0]  # log(x/(x+1))
+        self.log_ratio = ratio + (ratio < 0) * (ctx.q - 1)  # mod q-1, as in PowerMap
 
     def delta(self, d: int, c: int) -> np.ndarray:
         """(x+1)^d - c*x^d on the sample; d in [1, q-1]."""
         ctx = self.ctx
-        u, v = ctx.exp[self.logs * d % (ctx.q - 1)]  # products below 2^44
-        return ctx.vec_sub(u, ctx.vec_scale(v, c))
+        order = ctx.q - 1
+        if ctx.p == 2 or c == 0:
+            u, v = ctx.exp[self.logs * d % order]  # products below 2^44
+            return ctx.vec_sub(u, ctx.vec_scale(v, c))
+        # the log domain of PowerMapCase.delta_values, u = (x+1)^d, v = x^d
+        t = self.log_ratio * d % order  # log(v/u)
+        t += (int(ctx.log[c]) + order // 2) % order - order  # + log(-c)
+        return ctx.zech_sum(self.logs[0] * d % order, t)
 
     def exceeds(self, d: int, c: int, bound: int) -> bool:
         """True when some value of Delta_c is hit more than bound times on the

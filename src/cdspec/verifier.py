@@ -67,12 +67,10 @@ class VerifyReport:
     matched_theorem: Optional[str]
 
     def as_dict(self) -> dict:
-        spec = self.computed
         return {
             "case": {"p": self.p, "n": self.n, "modulus": list(self.modulus),
                      "d": self.d, "c": self.c},
-            "computed": {"q": spec.q, "d": spec.d, "c": spec.c,
-                         "uniformity": spec.uniformity, "omega": omega_doc(spec.omega)},
+            "computed": self.computed.as_dict(),
             "predictions": [pr.as_dict() for pr in self.predictions],
             "n4": self.n4,
             "eq1": self.eq1_ok,

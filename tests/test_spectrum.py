@@ -21,7 +21,7 @@ from cdspec import (
 )
 from cdspec import spectrum
 from cdspec.spectrum import CDiffSpectrum, DeltaSample, cyclotomic_classes, uniformity_label
-from cdspec.verifier import SplitMix64
+from cdspec.verifier import SplitMix64, _scan_sample
 
 from conftest import get_ctx, is_prime_trial, odd_fields
 
@@ -291,6 +291,45 @@ def test_delta_sample_matches_scalar_on_whole_fields(p, n):
             assert (np.bincount(got, minlength=q) <= hist).all()
             for bound in range(4):
                 assert not sample.exceeds(d, c, bound) or hist.max() > bound, (p, n, d, c)
+
+
+_REALISTIC_FIELDS = [(3, 10), (5, 7), (7, 5), (2, 16)]
+
+
+@pytest.mark.parametrize("p,n", _REALISTIC_FIELDS, ids=[f"{p}^{n}" for p, n in _REALISTIC_FIELDS])
+def test_zech_paths_agree_at_realistic_q(p, n):
+    """The scan sample and the spectrum kernel give the same Delta_c on the
+    sample at q in the tens of thousands, where logs and indexes reach
+    +-(q-1); so do zech_sum at its index ends and vec_add/vec_sub against
+    the scalar add/sub."""
+    ctx = get_ctx(p, n)
+    q = ctx.q
+    sample = _scan_sample(ctx, 2)
+    rng = SplitMix64(q)
+    ds = {1, q - 2, (q - 1) // 2, q - 1} | {1 + rng.below(q - 1) for _ in range(3)}
+    cs = {0, 1, ctx.neg_one, rng.below(q)}
+    for d in sorted(ds):
+        power = PowerMap(ctx, d)
+        for c in sorted(cs):
+            full = PowerMapCase(power, c).delta_values()
+            assert np.array_equal(sample.delta(d, c), full[sample.x]), (p, n, d, c)
+    if p == 2:
+        return
+    g = ctx.generator
+    for la in (0, 1, q - 2):
+        for t in (-(q - 1), -(q - 1) // 2, -1, 0, (q - 1) // 2, q - 2):
+            want = ctx.mul(ctx.pow(g, la), ctx.add(1, ctx.pow(g, t)))
+            got = ctx.zech_sum(np.array([la]), np.array([t], dtype=np.int64))
+            assert got.tolist() == [want], (p, n, la, t)
+    if (p, n) != (3, 10):
+        return
+    a = np.array([rng.below(q) for _ in range(2000)] + [0, 0, 5, 1, ctx.neg_one], dtype=np.int64)
+    b = np.array([rng.below(q) for _ in range(2000)] + [0, 7, 0, ctx.neg_one, 1], dtype=np.int64)
+    a = np.concatenate([a, a[:500]])
+    b = np.concatenate([b, ctx.vec_scale(a[:500], ctx.neg_one)])  # a = -b
+    assert ctx.vec_add(a, b).tolist() == [ctx.add(x, y) for x, y in zip(a.tolist(), b.tolist())]
+    assert ctx.vec_sub(a, b).tolist() == [ctx.sub(x, y) for x, y in zip(a.tolist(), b.tolist())]
+    assert ctx.vec_sub(a, a).tolist() == [0] * len(a)
 
 
 @pytest.mark.parametrize("block", [spectrum._N4_BLOCK, 64])
