@@ -205,32 +205,22 @@ def _ppowmod(base: list[int], e: int, f: list[int], p: int) -> list[int]:
 
 
 def is_irreducible(coeffs: Sequence[int], p: int) -> bool:
-    """Rabin test for a monic polynomial over GF(p)."""
+    """Ben-Or's test for a monic polynomial f of degree n over GF(p).
+
+    f is irreducible iff gcd(f, x^(p^i) - x) = 1 for every i <= n/2.  The
+    test is exact: x^(p^i) - x is the product of the monic irreducibles
+    whose degree divides i, and a reducible f has an irreducible factor of
+    degree i <= n/2, which divides it.  It stops at the first such i."""
     f = _ptrim(list(coeffs))
     n = len(f) - 1
-    if n < 1:
-        return False
-    if n == 1:
-        return True
-    x = [0, 1]
-    # x^(p^m) mod f by iterated Frobenius
-    h = list(x)
-    powers = {}
-    for m in range(1, n + 1):
-        h = _ppowmod(h, p, f, p)
-        powers[m] = list(h)
-    # x^(p^n) must reduce to x
-    if powers[n] != x:
-        return False
-    for r in prime_factors(n):
-        # gcd(x^(p^(n/r)) - x, f) must be 1
-        g = list(powers[n // r])
-        while len(g) < 2:
-            g.append(0)
+    h = [0, 1]
+    for _ in range(n // 2):
+        h = _ppowmod(h, p, f, p)  # x^(p^i) mod f
+        g = h + [0] * (2 - len(h))
         g[1] = (g[1] - 1) % p
         if len(_pgcd(f, _ptrim(g), p)) != 1:
             return False
-    return True
+    return n >= 1
 
 
 def find_irreducible(p: int, n: int, index: int = 0) -> tuple[int, ...]:

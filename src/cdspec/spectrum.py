@@ -156,10 +156,11 @@ class PowerMapCase:
     def delta_values(self) -> np.ndarray:
         """Delta_c(x) for every x, as an encoding array."""
         ctx = self.ctx
-        if ctx.p == 2 or self.c == 0:
+        if self.c == 0:
+            return self.power.powd[ctx.succ]  # (x+1)^d, a fresh array
+        if ctx.p == 2:
             powd = self.power.powd
-            shifted = powd[ctx.succ]  # (x+1)^d
-            return ctx.vec_sub(shifted, ctx.vec_scale(powd, self.c))
+            return ctx.vec_sub(powd[ctx.succ], ctx.vec_scale(powd, self.c))
         # Log domain: with u = (x+1)^d and v = x^d, u - c*v = u*(1 + (-c)*v/u),
         # so Delta = zech_sum(log u, log(v/u) + log(-c)).  log u and log(v/u)
         # depend on d alone, and the PowerMap keeps them.
@@ -192,7 +193,9 @@ class DeltaSample:
         """(x+1)^d - c*x^d on the sample; d in [1, q-1]."""
         ctx = self.ctx
         order = ctx.q - 1
-        if ctx.p == 2 or c == 0:
+        if c == 0:
+            return ctx.exp[self.logs[0] * d % order]  # (x+1)^d
+        if ctx.p == 2:
             u, v = ctx.exp[self.logs * d % order]  # products below 2^44
             return ctx.vec_sub(u, ctx.vec_scale(v, c))
         # the log domain of PowerMapCase.delta_values, u = (x+1)^d, v = x^d

@@ -276,9 +276,11 @@ _SAMPLE_COLLISIONS = 5
 
 def _scan_sample(ctx: FieldContext, max_uniformity: int) -> Optional[DeltaSample]:
     """The first m elements outside {0, -1}, or None when m would exceed q/4
-    and the sample would cost about as much as the spectra it saves."""
-    q, u = ctx.q, max_uniformity
-    if not 0 <= u < q // 4:  # a (U+1)-fold collision needs m > U points
+    and the sample would cost about as much as the spectra it saves.  Every
+    uniformity is at least 1, so a bound below 0 is sized as 0: any sample
+    then rules out every class."""
+    q, u = ctx.q, max(max_uniformity, 0)
+    if u >= q // 4:  # a (U+1)-fold collision needs m > U points
         return None
     m = math.ceil(math.exp(
         (math.log(_SAMPLE_COLLISIONS) + math.lgamma(u + 2) + u * math.log(q)) / (u + 1)))

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import sys
 import threading
@@ -30,7 +31,7 @@ from cdspec import (
     sweep_c,
     verify_with_context,
 )
-from cdspec.field import DEFAULT_ENUM_CAP, is_prime
+from cdspec.field import DEFAULT_ENUM_CAP, _pmod, is_irreducible, is_prime, prime_factors
 from cdspec.verifier import SplitMix64
 
 from conftest import get_ctx, is_prime_trial, odd_fields
@@ -89,6 +90,59 @@ def test_find_irreducible_indexing():
     assert find_irreducible(2, 3, 0) == (1, 1, 0, 1)
     assert find_irreducible(2, 3, 1) == (1, 0, 1, 1)
     assert find_irreducible(3, 2, 0) == (1, 0, 1)
+
+
+# Every monic polynomial of degree n <= IRREDUCIBILITY_DEGREES[p] over GF(p):
+# 4,631 in all, checked against oracles that run no irreducibility test.
+IRREDUCIBILITY_DEGREES = {2: 10, 3: 6, 5: 4, 7: 3, 11: 2, 13: 2}
+
+
+def _monic(p, n):
+    for low in itertools.product(range(p), repeat=n):
+        yield list(low) + [1]
+
+
+def _mobius(k):
+    factors = prime_factors(k)
+    if any(k % (r * r) == 0 for r in factors):
+        return 0
+    return (-1) ** len(factors)
+
+
+@pytest.mark.parametrize("p", sorted(IRREDUCIBILITY_DEGREES))
+def test_irreducible_count_is_gauss_formula(p):
+    for n in range(1, IRREDUCIBILITY_DEGREES[p] + 1):
+        count = sum(is_irreducible(f, p) for f in _monic(p, n))
+        assert n * count == sum(_mobius(k) * p ** (n // k) for k in range(1, n + 1) if n % k == 0)
+
+
+@pytest.mark.parametrize("p", sorted(IRREDUCIBILITY_DEGREES))
+def test_reducible_exactly_when_a_small_factor_divides(p):
+    for n in range(1, IRREDUCIBILITY_DEGREES[p] + 1):
+        divisors = [g for k in range(1, n // 2 + 1) for g in _monic(p, k)]
+        for f in _monic(p, n):
+            assert is_irreducible(f, p) == all(_pmod(f, g, p) for g in divisors), (p, f)
+
+
+# The default moduli (index 0) and the next ones (index 1) of the field grid,
+# as their non-leading coefficients from the constant term up: 2^22 uses
+# x^22 + x + 1.  Every table, spectrum and pinned byte depends on them.
+GRID_MODULI = {
+    (3, 7): ((2, 0, 1), (1, 2, 1)),
+    (5, 5): ((1, 4), (2, 4)),
+    (2, 16): ((1, 1, 0, 1, 0, 1), (1, 0, 1, 1, 0, 1)),
+    (3, 10): ((1, 0, 2), (2, 1, 0, 1)),
+    (2, 20): ((1, 0, 0, 1), (1, 1, 1, 1)),
+    (3, 13): ((1, 2), (2, 2)),
+    (5, 9): ((3, 2, 1), (4, 2, 1)),
+    (2, 22): ((1, 1), (1, 1, 1, 0, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("p, n", sorted(GRID_MODULI))
+def test_grid_moduli_are_pinned(p, n):
+    for index, low in enumerate(GRID_MODULI[p, n]):
+        assert find_irreducible(p, n, index) == low + (0,) * (n - len(low)) + (1,)
 
 
 def test_parse_field_spec():

@@ -535,9 +535,23 @@ def test_scan_sample_size_follows_q_and_the_bound():
         assert expected(m - 1) < verifier._SAMPLE_COLLISIONS <= expected(m), (p, n, bound)
     assert verifier._scan_sample(get_ctx(2, 14), 2).x.tolist() == list(range(2, 2007))  # -1 = 1
     assert verifier._scan_sample(get_ctx(3, 8), 2).x.tolist()[:4] == [1, 3, 4, 5]  # -1 = 2
-    for bound in (-1, 3, 4096, 10 ** 400):
+    for bound in (3, 4096, 10 ** 400):
         assert verifier._scan_sample(get_ctx(2, 14), bound) is None
+    for bound in (-1, -(10 ** 400)):  # sized as U = 0
+        assert verifier._scan_sample(get_ctx(2, 14), bound).x.tolist() == [2, 3, 4, 5, 6]
     assert scan_exponents(get_ctx(2, 5), 3, 10 ** 400).rows  # every class passes
+
+
+def test_scan_below_uniformity_one_builds_no_power_map(monkeypatch):
+    """Every uniformity is at least 1, so at U = -1 the sample rules out every
+    class and no PowerMap, table or spectrum is built."""
+    def refuse(*args):
+        raise AssertionError("PowerMap built")
+
+    monkeypatch.setattr(verifier, "PowerMap", refuse)
+    ctx = get_ctx(2, 12)
+    for c in (0, 1, 2, ctx.q - 1):
+        assert scan_exponents(ctx, c, -1).rows == []
 
 
 # ---------------------------------------------------------------------------
