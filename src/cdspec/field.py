@@ -25,6 +25,18 @@ log c - (q-1) to log x, and both keep the index into exp in [-(q-1), q-1),
 where a negative index wraps.  The polynomial routines (vec_mul_poly,
 _mul_scalar, _pow_scalar) and the digit loop of the scalar add remain as
 table-free references.
+
+Every table entry is below q <= 2^22 < 2^31, so the tables are int32, and
+so are the per-d tables of spectrum.PowerMap: half the memory and half the
+cache footprint of int64.  An index array built by arithmetic is int64, and
+so is every log times an exponent (or it is a Python int): under numpy 2 an
+int32 array or scalar times a Python int stays int32 and wraps silently.
+A gather indexed by an int32 table (powd at succ, log at powd) goes
+through ndarray.take, which converts the index once; fancy indexing by an
+int32 array converts it chunk by chunk, two to three times slower at
+q = 2^11 to 2^14.  zech_sum and vec_scale write their result over their
+int64 index and return it, so bincount and the callers that index with it
+need no conversion.
 """
 
 from __future__ import annotations
@@ -115,8 +127,8 @@ def _linear_mapper(p: int, n: int):
     p each digit takes a (p.bit_length() + 1)-bit lane, so one integer add
     overflows no lane (lane sums stay below 2p), and tables over a few lanes
     at a time reduce each lane mod p and put it at its base-p place."""
-    if n == 1:
-        return lambda mat, x: x * int(mat[0, 0]) % p
+    if n == 1:  # x * mat < p^2, past 2^31 once p > 46,341: int64
+        return lambda mat, x: np.asarray(x, dtype=np.int64) * int(mat[0, 0]) % p
     h = (n + 1) // 2
     split = p ** h
     # digit rows of every low part (first h columns), then of every high part
@@ -129,7 +141,7 @@ def _linear_mapper(p: int, n: int):
 
         def apply(mat, x):
             table = parts @ mat % 2 @ weights
-            return table[:split][x & (split - 1)] ^ table[split:][x >> h]
+            return table[:split].take(x & (split - 1)) ^ table[split:].take(x >> h)
         return apply
 
     w = p.bit_length() + 1
@@ -145,7 +157,7 @@ def _linear_mapper(p: int, n: int):
     def apply(mat, x):
         table = parts @ mat % p @ weights
         hi, lo = np.divmod(x, split)
-        s = table[:split][lo] + table[split:][hi]
+        s = table[:split].take(lo) + table[split:].take(hi)
         out = unpack[0][1][s & group_mask]
         for shift, digits in unpack[1:]:
             out += digits[(s >> shift) & group_mask]
@@ -276,7 +288,9 @@ class FieldContext:
     """A concrete GF(p^n).  Construct via build_context.
 
     Every attribute is set during __init__ and every table is read-only, so
-    a context has no mutable state."""
+    a context has no mutable state.  The tables are int32: exp (q - 1
+    entries), log (q entries, -1 at 0), succ (q entries) and, in odd
+    characteristic, zech (q - 1 entries)."""
 
     def __init__(self, spec: FieldSpec, modulus: tuple[int, ...]):
         self.p = spec.p
@@ -353,7 +367,7 @@ class FieldContext:
         matrix of g^(2m) is the square of the matrix of g^m."""
         p, n, order = self.p, self.n, self.q - 1
         apply = _linear_mapper(p, n)
-        exp = np.empty(order, dtype=np.int64)
+        exp = np.empty(order, dtype=np.int32)
         exp[0] = 1
         gm = self._mul_matrices(np.array([self.generator]), cpow)[0]
         m = 1
@@ -368,20 +382,20 @@ class FieldContext:
         p, n, q = self.p, self.n, self.q
         order = q - 1
         exp = self._build_exp(cpow)
-        log = np.full(q, -1, dtype=np.int64)
-        log[exp] = np.arange(order, dtype=np.int64)
+        log = np.full(q, -1, dtype=np.int32)
+        log.put(exp, np.arange(order, dtype=np.int32))
         if log[0] != -1 or int((log[1:] >= 0).sum()) != order:
             raise ReducibleModulus(
                 f"element {self.generator} does not generate GF({p}^{n})^*"
             )
         self.exp = _frozen(exp)
         self.log = _frozen(log)
-        succ = np.arange(1, q + 1, dtype=np.int64)
+        succ = np.arange(1, q + 1, dtype=np.int32)
         succ[p - 1::p] -= p  # the constant digit wraps from p - 1 to 0
         self.succ = _frozen(succ)
         if p != 2:
             # Zech logarithm Z(k) = log(1 + g^k); -1 where 1 + g^k = 0
-            self.zech = _frozen(log[succ[exp]])
+            self.zech = _frozen(log.take(succ.take(exp)))
         # The absolute trace is GF(p)-linear and Tr(a) is the matrix trace of
         # R_a, so Tr(x) = sum_i x_i Tr(X^i) needs only the basis traces.
         self._basis_trace = tuple(int(t) % p for t in np.trace(cpow, axis1=1, axis2=2))
@@ -409,7 +423,7 @@ class FieldContext:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        return int(self.exp[(self.log[a] + self.log[b]) % (self.q - 1)])
+        return self.exp.item((self.log.item(a) + self.log.item(b)) % (self.q - 1))
 
     def _mul_scalar(self, a: int, b: int) -> int:
         p, n = self.p, self.n
@@ -427,7 +441,7 @@ class FieldContext:
                 raise DivisionByZero("inverse of 0")
             return 0
         e %= self.q - 1
-        return int(self.exp[(self.log[a] * e) % (self.q - 1)])
+        return self.exp.item(self.log.item(a) * e % (self.q - 1))  # Python ints: no wrap
 
     def _pow_scalar(self, a: int, e: int) -> int:
         result = 1
@@ -452,7 +466,7 @@ class FieldContext:
         The generator is a nonsquare, so chi(g^k) = (-1)^k (Euler's criterion)."""
         if self.p == 2:
             raise CharTwoUnsupported("quadratic character needs odd characteristic")
-        return 0 if x == 0 else 1 - 2 * (int(self.log[x]) & 1)
+        return 0 if x == 0 else 1 - 2 * (self.log.item(x) & 1)
 
     # -- vectorised arithmetic on encoding arrays -------------------------
 
@@ -484,7 +498,7 @@ class FieldContext:
         a, b = np.broadcast_arrays(np.atleast_1d(a), np.atleast_1d(b))
         order = self.q - 1
         la = self.log[a]  # -1 at a = 0, which zech_sum also takes
-        lb = self.log[b] + b_shift
+        lb = np.add(self.log[b], b_shift, dtype=np.int64)
         t = lb - la
         t[t >= order] -= order  # into [-(q-1), q-1), as b_shift <= (q-1)/2
         out = self.zech_sum(la, t)
@@ -496,16 +510,17 @@ class FieldContext:
 
     def zech_sum(self, la: np.ndarray, t: np.ndarray) -> np.ndarray:
         """g^la * (1 + g^t) = g^(la + Z(t)) elementwise, 0 where g^t = -1, for
-        la in [0, q-1) (or -1, as Z >= 1) and t in [-(q-1), q-1), where a
-        negative index wraps: no pass reduces mod q-1.  Overwrites t."""
+        la in [0, q-1) (or -1, as Z >= 1) and int64 t in [-(q-1), q-1), where
+        a negative index wraps: no pass reduces mod q-1.  The result is
+        written over t and returned, so it is int64, as bincount reads it."""
         z = self.zech[t]
         zero = z < 0  # 1 + g^t = 0
         np.add(la, z, out=t)
         t -= self.q - 1
         t[zero] = 0  # la + z - (q-1) may be -q there
-        out = self.exp[t]
-        out[zero] = 0
-        return out
+        t[:] = self.exp[t]
+        t[zero] = 0
+        return t
 
     def vec_mul_poly(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Elementwise field product by polynomial convolution; table-free,
@@ -544,18 +559,19 @@ class FieldContext:
         return out
 
     def vec_scale(self, arr: np.ndarray, c: int) -> np.ndarray:
-        """c * arr elementwise, as a new writable array."""
+        """c * arr elementwise, as a new writable int64 array (its callers
+        index with it)."""
         if c == 0:
-            return np.zeros_like(arr)
+            return np.zeros(np.shape(arr), dtype=np.int64)
         shape = np.shape(arr)
         arr = np.atleast_1d(arr)
-        t = self.log[arr]
-        t += int(self.log[c]) - (self.q - 1)  # in [-(q-1), q-1): no mod pass
+        # in [-(q-1), q-1): no mod pass
+        t = np.add(self.log[arr], self.log.item(c) - (self.q - 1), dtype=np.int64)
         zero = arr == 0
         t[zero] = 0  # log 0 = -1 would give index -q at c = 1
-        out = self.exp[t]
-        out[zero] = 0
-        return out.reshape(shape)
+        t[:] = self.exp[t]
+        t[zero] = 0
+        return t.reshape(shape)
 
     def pow_table(self, d: int) -> np.ndarray:
         """x^d for every x, as a new read-only array; d must be in [1, q-1]."""
@@ -569,8 +585,8 @@ class FieldContext:
         b = math.isqrt(order - 1) + 1
         low = np.arange(b, dtype=np.int64) * d % order
         high = np.arange(-(-order // b), dtype=np.int64) * (b * d % order) % order - order
-        t = np.zeros(self.q, dtype=np.int64)
-        t[self.exp] = self.exp[(high[:, None] + low).ravel()[:order]]
+        t = np.zeros(self.q, dtype=np.int32)
+        t.put(self.exp, self.exp[(high[:, None] + low).ravel()[:order]])
         return _frozen(t)
 
     def __repr__(self) -> str:

@@ -94,16 +94,27 @@ class PowerMap:
         """x^d for every x."""
         return self.ctx.pow_table(self.d)
 
+    def _log_powd(self) -> np.ndarray:
+        """log x^d for every x, and 0 at x = 0, as a new writable array."""
+        lv = self.ctx.log.take(self.powd)
+        lv[0] = 0
+        return lv
+
+    @functools.cached_property
+    def log_powd(self) -> np.ndarray:
+        """log x^d for every x, and 0 at x = 0; the characteristic-2 kernel
+        scales x^d by c as g^(log x^d + log c)."""
+        return _frozen(self._log_powd())
+
     @functools.cached_property
     def log_ratio(self) -> tuple[np.ndarray, np.ndarray]:
         """(log (x+1)^d, log(x^d / (x+1)^d) mod (q-1)) for every x, in odd
         characteristic; meaningless at x = 0 and x = -1, where one power is 0."""
         ctx = self.ctx
-        lv = ctx.log[self.powd]
-        lv[0] = 0  # keeps every entry of lu and ratio in [0, q-1)
-        lu = lv[ctx.succ]
+        lv = self._log_powd()  # 0 at x = 0 keeps every entry of lu and ratio in [0, q-1)
+        lu = lv.take(ctx.succ)
         ratio = lv - lu
-        ratio += (ratio < 0) * (ctx.q - 1)  # mod q-1, without a division pass
+        ratio += (ratio < 0) * np.int32(ctx.q - 1)  # mod q-1, no division, int32 temporary
         return _frozen(lu), _frozen(ratio)
 
     @functools.cached_property
@@ -114,7 +125,8 @@ class PowerMap:
     @functools.cached_property
     def n4_pairs(self) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
         """(l, S1(w) S1(eps*w) mod l, S0(v) S0(-v) mod l) per prime l of n4_fourier."""
-        ctx, powd = self.ctx, self.powd
+        ctx = self.ctx
+        powd = self.powd.astype(np.intp)  # an index below
         p, n, q = ctx.p, ctx.n, ctx.q
         w = np.arange(q, dtype=np.int64)
         x_pows = [1]  # X^k for k <= 2n - 2; X has encoding p when n > 1
@@ -157,19 +169,27 @@ class PowerMapCase:
         """Delta_c(x) for every x, as an encoding array."""
         ctx = self.ctx
         if self.c == 0:
-            return self.power.powd[ctx.succ]  # (x+1)^d, a fresh array
+            return self.power.powd.take(ctx.succ)  # (x+1)^d, a fresh array
+        order = ctx.q - 1
         if ctx.p == 2:
-            powd = self.power.powd
-            return ctx.vec_sub(powd[ctx.succ], ctx.vec_scale(powd, self.c))
+            # (x+1)^d + c*x^d with c*x^d = g^(log x^d + log c), written over
+            # the int64 index as zech_sum does.  Gathering c*x^d first leaves
+            # fewer heap holes: spectrum --field 2^22 peaks at 191 MB of RSS,
+            # against 207 MB with (x+1)^d first.
+            t = np.add(self.power.log_powd, int(ctx.log[self.c]) - order, dtype=np.int64)
+            t[:] = ctx.exp[t]  # t in [-(q-1), q-1)
+            t ^= self.power.powd.take(ctx.succ)
+            t[0] = 1  # x = 0: 1^d + c*0
+            return t
         # Log domain: with u = (x+1)^d and v = x^d, u - c*v = u*(1 + (-c)*v/u),
         # so Delta = zech_sum(log u, log(v/u) + log(-c)).  log u and log(v/u)
         # depend on d alone, and the PowerMap keeps them.
-        order = ctx.q - 1
         lu, ratio = self.power.log_ratio
         log_neg_c = (int(ctx.log[self.c]) + order // 2) % order  # -1 = g^((q-1)/2)
-        out = ctx.zech_sum(lu, ratio + (log_neg_c - order))  # in [-(q-1), q-1)
+        t = np.add(ratio, log_neg_c - order, dtype=np.int64)  # in [-(q-1), q-1)
+        out = ctx.zech_sum(lu, t)
         out[0] = 1  # x = 0: Delta = 1^d
-        out[ctx.neg_one] = ctx.neg(ctx.mul(self.c, ctx.pow(ctx.neg_one, self.d)))  # x = -1: u = 0
+        out[ctx.neg_one] = self.c if self.d % 2 else ctx.neg(self.c)  # x = -1: -c*(-1)^d
         return out
 
     def delta_histogram(self) -> np.ndarray:
@@ -181,13 +201,18 @@ class PowerMapCase:
 
 class DeltaSample:
     """Delta_c(x) on a fixed array x of elements outside {0, -1}, for any d
-    and c, from log(x+1), log x and log(x/(x+1)) taken once."""
+    and c, from logs of x taken once: log(x+1), and log x in characteristic
+    2 or log(x/(x+1)) in odd characteristic."""
 
     def __init__(self, ctx: FieldContext, x: np.ndarray):
         self.ctx, self.x = ctx, x
-        self.logs = np.stack([ctx.log[ctx.succ[x]], ctx.log[x]])  # log(x+1), log x
-        ratio = self.logs[1] - self.logs[0]  # log(x/(x+1))
-        self.log_ratio = ratio + (ratio < 0) * (ctx.q - 1)  # mod q-1, as in PowerMap
+        # int64, as a log times an exponent reaches 2^44
+        lu = ctx.log[ctx.succ[x]].astype(np.int64)
+        lv = ctx.log[x].astype(np.int64)
+        if ctx.p != 2:
+            lv -= lu  # log(x/(x+1)), mod q-1 as in PowerMap
+            lv += (lv < 0) * (ctx.q - 1)
+        self.logs = np.stack([lu, lv])
 
     def delta(self, d: int, c: int) -> np.ndarray:
         """(x+1)^d - c*x^d on the sample; d in [1, q-1]."""
@@ -195,13 +220,14 @@ class DeltaSample:
         order = ctx.q - 1
         if c == 0:
             return ctx.exp[self.logs[0] * d % order]  # (x+1)^d
+        lu, t = self.logs * d % order  # log u and log v, or log(v/u)
         if ctx.p == 2:
-            u, v = ctx.exp[self.logs * d % order]  # products below 2^44
-            return ctx.vec_sub(u, ctx.vec_scale(v, c))
+            # u + c*v with c*v = g^(log v + log c); x is not 0 or 1, so u, v != 0
+            t += int(ctx.log[c]) - order  # in [-(q-1), q-1)
+            return ctx.exp[lu] ^ ctx.exp[t]
         # the log domain of PowerMapCase.delta_values, u = (x+1)^d, v = x^d
-        t = self.log_ratio * d % order  # log(v/u)
         t += (int(ctx.log[c]) + order // 2) % order - order  # + log(-c)
-        return ctx.zech_sum(self.logs[0] * d % order, t)
+        return ctx.zech_sum(lu, t)
 
     def exceeds(self, d: int, c: int, bound: int) -> bool:
         """True when some value of Delta_c is hit more than bound times on the
@@ -270,7 +296,7 @@ def c_spectrum(case: PowerMapCase) -> CDiffSpectrum:
     """Full spectrum of the a = 1 row: omega_i = #{b : c_delta(b) = i}."""
     hist = case.delta_histogram()
     counts = np.bincount(hist)
-    uniformity = int(hist.max())
+    uniformity = len(counts) - 1  # the largest count
     omega = {0: int(counts[0])}
     for i in range(1, len(counts)):
         if counts[i]:

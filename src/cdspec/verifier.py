@@ -311,7 +311,7 @@ def scan_exponents(ctx: FieldContext, c: int, max_uniformity: int) -> ScanResult
         # arrays in again.  Where no class is sampled, this order matters:
         # without it scan --field 2^14 --max-uniformity 3 faults 95k times
         # against 205 and takes 0.40-0.53 s against 0.30-0.35 s.
-        power.powd if ctx.p == 2 or c == 0 else power.log_ratio
+        power.powd if c == 0 else power.log_powd if ctx.p == 2 else power.log_ratio
         del last
         spec = c_spectrum(PowerMapCase(power, c))
         if spec.uniformity <= max_uniformity:

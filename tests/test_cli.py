@@ -185,6 +185,16 @@ def test_verify_match_exit0(capsys):
     assert payload["eq1"] is True
 
 
+def test_verify_where_log_times_exponent_passes_int32(capsys):
+    """At q = 2^18 the predictors' scalar powers multiply logs by exponents
+    near q, past 2^31: an int32 product there wraps and gives MISMATCH."""
+    code, out, _ = run_cli(
+        capsys, "verify", "--field", "2^18", "--d", "inv", "--c", "e:12345", "--format", "json"
+    )
+    assert code == EXIT_OK
+    assert json.loads(out)["verdict"] == "MATCH"
+
+
 def test_verify_inconsistent_exit3(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--field", "3^4", "--d", "78", "--c", "-1", "--format", "json"

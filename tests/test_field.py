@@ -209,6 +209,41 @@ def test_pow_matches_square_and_multiply():
             assert ctx.pow(a, e) == expected
 
 
+_WIDE_FIELDS = [(2, 18), (3, 11), (5, 9)]
+
+
+@pytest.mark.parametrize("p,n", _WIDE_FIELDS, ids=[f"{p}^{n}" for p, n in _WIDE_FIELDS])
+def test_scalar_arithmetic_where_log_times_exponent_passes_int32(p, n):
+    """log a * e reaches about q^2 > 2^31 here, past what an int32 product
+    holds; pow, inv and mul agree with the table-free square-and-multiply
+    and polynomial product."""
+    ctx = build_context(FieldSpec(p, n))
+    q, order = ctx.q, ctx.q - 1
+    rng = SplitMix64(q)
+    elems = [int(ctx.exp[order - 1]), ctx.neg_one] + [2 + rng.below(q - 2) for _ in range(3)]
+    exps = [q - 2, q - 1, order // 2, -1] + [rng.below(1 << 40) for _ in range(3)]
+    assert int(ctx.log[elems[0]]) * (q - 2) >= 2 ** 31
+    for a in elems:
+        for e in exps:
+            assert ctx.pow(a, e) == ctx._pow_scalar(a, e % order), (p, n, a, e)
+        inv = ctx.inv(a)
+        assert inv == ctx._pow_scalar(a, q - 2) and ctx._mul_scalar(a, inv) == 1, (p, n, a)
+        b = 2 + rng.below(q - 2)
+        assert ctx.mul(a, b) == ctx._mul_scalar(a, b), (p, n, a, b)
+
+
+@pytest.mark.parametrize("p", [65537, 4194301])
+def test_prime_field_tables_where_residue_products_pass_int32(p):
+    """The tables of GF(p) multiply residues below p, and past p = 46,341
+    such a product passes 2^31; 4,194,301 is the largest prime under the
+    cap.  exp and log agree with Python's pow."""
+    ctx = build_context(FieldSpec(p, 1))
+    g = ctx.generator
+    rng = SplitMix64(p)
+    for k in [0, 1, p - 2] + [rng.below(p - 1) for _ in range(50)]:
+        assert int(ctx.exp[k]) == pow(g, k, p) and int(ctx.log[pow(g, k, p)]) == k, (p, k)
+
+
 def test_log_antilog_roundtrip():
     for p, n in [(2, 6), (3, 4), (5, 3)]:
         ctx = get_ctx(p, n)

@@ -332,6 +332,35 @@ def test_zech_paths_agree_at_realistic_q(p, n):
     assert ctx.vec_sub(a, a).tolist() == [0] * len(a)
 
 
+_ORACLE_FIELDS = [(2, 16), (3, 10)]
+
+
+@pytest.mark.parametrize("p,n", _ORACLE_FIELDS, ids=[f"{p}^{n}" for p, n in _ORACLE_FIELDS])
+def test_delta_values_match_table_free_oracles(p, n):
+    """log x * d passes 2^31 at these q, so an int32 product in the kernel
+    would show here, where test_zech_paths_agree_at_realistic_q compares two
+    readers of the same tables: delta_values at seeded x against
+    square-and-multiply and the polynomial product, which read no table.
+    Every table of the context and of the power maps is int32 and read-only."""
+    ctx = get_ctx(p, n)
+    q, order = ctx.q, ctx.q - 1
+    rng = SplitMix64(q + 1)
+    xs = [0, ctx.neg_one] + [rng.below(q) for _ in range(198)]
+    ds = [q - 2, order // 2, order, 1 + rng.below(order)]
+    cs = [0, 1, ctx.neg_one, 2 + rng.below(q - 2)]
+    tables = [ctx.exp, ctx.log, ctx.succ] + ([] if p == 2 else [ctx.zech])
+    for d in ds:
+        power = PowerMap(ctx, d)
+        v = {x: ctx._pow_scalar(x, d) for x in set(xs) | {ctx.add(x, 1) for x in xs}}
+        for c in cs:
+            got = PowerMapCase(power, c).delta_values()[xs]
+            want = [ctx.sub(v[ctx.add(x, 1)], ctx._mul_scalar(c, v[x])) for x in xs]
+            assert got.tolist() == want, (p, n, d, c)
+        tables += [power.powd] + ([power.log_powd] if p == 2 else list(power.log_ratio))
+    for table in tables:
+        assert table.dtype == np.int32 and not table.flags.writeable
+
+
 @pytest.mark.parametrize("block", [spectrum._N4_BLOCK, 64])
 def test_n4_blocks_match_per_alpha_count(monkeypatch, block):
     monkeypatch.setattr(spectrum, "_N4_BLOCK", block)  # 64: several blocks, a partial last one
