@@ -3,10 +3,11 @@
 The single difference function Delta_c(x) = (x+1)^d - c*x^d determines the
 whole c-DDT of a power map: row a scales to row 1, and the row-0 counts are
 controlled by gcd(d, q-1).  The spectrum is one histogram pass over the
-field, so it costs O(q) per (d, c).  A PowerMap holds what depends on d.
-A DeltaSample evaluates Delta_c on a fixed subset of x for any d: counts over
-a subset never exceed counts over the field, so a value hit more than U times
-there proves the uniformity exceeds U before any q-sized table is built.
+field, so it costs O(q) per (d, c).  _delta alone forms Delta_c, from a pair
+of per-d arrays that a PowerMap keeps for the whole field (delta_pair) and a
+DeltaSample computes on a fixed subset of x for any d.  Counts over a subset
+never exceed counts over the field, so a value hit more than U times there
+proves the uniformity exceeds U before any q-sized table is built.
 
 The quadruple count N4 of the second identity has two exact paths.
 n4_fourier, which the verifier runs, sums products of additive-character
@@ -94,28 +95,20 @@ class PowerMap:
         """x^d for every x."""
         return self.ctx.pow_table(self.d)
 
-    def _log_powd(self) -> np.ndarray:
-        """log x^d for every x, and 0 at x = 0, as a new writable array."""
-        lv = self.ctx.log.take(self.powd)
-        lv[0] = 0
-        return lv
-
     @functools.cached_property
-    def log_powd(self) -> np.ndarray:
-        """log x^d for every x, and 0 at x = 0; the characteristic-2 kernel
-        scales x^d by c as g^(log x^d + log c)."""
-        return _frozen(self._log_powd())
-
-    @functools.cached_property
-    def log_ratio(self) -> tuple[np.ndarray, np.ndarray]:
-        """(log (x+1)^d, log(x^d / (x+1)^d) mod (q-1)) for every x, in odd
-        characteristic; meaningless at x = 0 and x = -1, where one power is 0."""
+    def delta_pair(self) -> tuple[np.ndarray, np.ndarray]:
+        """(u, t) of _delta for every x; wrong at x = 0 and x = -1.  x^d is
+        built for it and dropped: no kernel reads x^d itself."""
         ctx = self.ctx
-        lv = self._log_powd()  # 0 at x = 0 keeps every entry of lu and ratio in [0, q-1)
+        powd = ctx.pow_table(self.d)
+        lv = ctx.log.take(powd)
+        lv[0] = 0  # keeps every log in [0, q-1)
+        if ctx.p == 2:
+            return _frozen(powd.take(ctx.succ)), _frozen(lv)
         lu = lv.take(ctx.succ)
-        ratio = lv - lu
-        ratio += (ratio < 0) * np.int32(ctx.q - 1)  # mod q-1, no division, int32 temporary
-        return _frozen(lu), _frozen(ratio)
+        lv -= lu
+        lv += (lv < 0) * np.int32(ctx.q - 1)  # mod q-1, no division, int32 temporary
+        return _frozen(lu), _frozen(lv)
 
     @functools.cached_property
     def members(self) -> frozenset[int]:
@@ -152,6 +145,21 @@ class PowerMap:
         return tuple(out)
 
 
+def _delta(ctx: FieldContext, u: np.ndarray, t: np.ndarray, c: int) -> np.ndarray:
+    """Delta_c(x) = U - c*V as a new array, U = (x+1)^d and V = x^d for x
+    outside {0, -1}, from per-d arrays u and t with entries in [0, q-1).  In
+    characteristic 2, u = U, t = log V and Delta = u XOR g^(t + log c).
+    Else u = log U, t = log(V/U) and Delta = U*(1 + (-c)*V/U) =
+    zech_sum(u, t + log(-c)).  At c = 0 it is U; at c != 0 it is written
+    over its int64 index into exp, as zech_sum does, for bincount."""
+    if c == 0:
+        return u.copy() if ctx.p == 2 else ctx.exp.take(u)
+    out = np.add(t, ctx.log.item(ctx.neg(c)) - (ctx.q - 1), dtype=np.int64)  # in [-(q-1), q-1)
+    if ctx.p != 2:
+        return ctx.zech_sum(u, out)
+    return np.bitwise_xor(ctx.exp[out], u, out=out)
+
+
 @dataclass
 class PowerMapCase:
     """The power map of power, differentiated with multiplier c."""
@@ -168,26 +176,7 @@ class PowerMapCase:
     def delta_values(self) -> np.ndarray:
         """Delta_c(x) for every x, as an encoding array."""
         ctx = self.ctx
-        if self.c == 0:
-            return self.power.powd.take(ctx.succ)  # (x+1)^d, a fresh array
-        order = ctx.q - 1
-        if ctx.p == 2:
-            # (x+1)^d + c*x^d with c*x^d = g^(log x^d + log c), written over
-            # the int64 index as zech_sum does.  Gathering c*x^d first leaves
-            # fewer heap holes: spectrum --field 2^22 peaks at 191 MB of RSS,
-            # against 207 MB with (x+1)^d first.
-            t = np.add(self.power.log_powd, int(ctx.log[self.c]) - order, dtype=np.int64)
-            t[:] = ctx.exp[t]  # t in [-(q-1), q-1)
-            t ^= self.power.powd.take(ctx.succ)
-            t[0] = 1  # x = 0: 1^d + c*0
-            return t
-        # Log domain: with u = (x+1)^d and v = x^d, u - c*v = u*(1 + (-c)*v/u),
-        # so Delta = zech_sum(log u, log(v/u) + log(-c)).  log u and log(v/u)
-        # depend on d alone, and the PowerMap keeps them.
-        lu, ratio = self.power.log_ratio
-        log_neg_c = (int(ctx.log[self.c]) + order // 2) % order  # -1 = g^((q-1)/2)
-        t = np.add(ratio, log_neg_c - order, dtype=np.int64)  # in [-(q-1), q-1)
-        out = ctx.zech_sum(lu, t)
+        out = _delta(ctx, *self.power.delta_pair, self.c)
         out[0] = 1  # x = 0: Delta = 1^d
         out[ctx.neg_one] = self.c if self.d % 2 else ctx.neg(self.c)  # x = -1: -c*(-1)^d
         return out
@@ -202,7 +191,7 @@ class PowerMapCase:
 class DeltaSample:
     """Delta_c(x) on a fixed array x of elements outside {0, -1}, for any d
     and c, from logs of x taken once: log(x+1), and log x in characteristic
-    2 or log(x/(x+1)) in odd characteristic."""
+    2 or log(x/(x+1)) in odd characteristic; times d they give _delta's u, t."""
 
     def __init__(self, ctx: FieldContext, x: np.ndarray):
         self.ctx, self.x = ctx, x
@@ -217,17 +206,9 @@ class DeltaSample:
     def delta(self, d: int, c: int) -> np.ndarray:
         """(x+1)^d - c*x^d on the sample; d in [1, q-1]."""
         ctx = self.ctx
-        order = ctx.q - 1
-        if c == 0:
-            return ctx.exp[self.logs[0] * d % order]  # (x+1)^d
-        lu, t = self.logs * d % order  # log u and log v, or log(v/u)
-        if ctx.p == 2:
-            # u + c*v with c*v = g^(log v + log c); x is not 0 or 1, so u, v != 0
-            t += int(ctx.log[c]) - order  # in [-(q-1), q-1)
-            return ctx.exp[lu] ^ ctx.exp[t]
-        # the log domain of PowerMapCase.delta_values, u = (x+1)^d, v = x^d
-        t += (int(ctx.log[c]) + order // 2) % order - order  # + log(-c)
-        return ctx.zech_sum(lu, t)
+        lu, t = logs = self.logs * d
+        logs %= ctx.q - 1  # in place, so lu and t, its rows, are reduced too
+        return _delta(ctx, ctx.exp[lu] if ctx.p == 2 else lu, t, c)
 
     def exceeds(self, d: int, c: int, bound: int) -> bool:
         """True when some value of Delta_c is hit more than bound times on the
@@ -406,21 +387,21 @@ def _transform_leading_digit(a: np.ndarray, zp: np.ndarray, ell: int) -> np.ndar
     p = len(zp)
     x = a.reshape(2, p, -1)
     out = np.empty_like(x)
-    k = np.arange(p, dtype=np.uint64)
     rows = max(1, _DFT_BLOCK // p)
     for lo in range(0, p, rows):
-        out[:, lo:lo + rows] = zp[_dft_index(k, lo, min(rows, p - lo))] @ x % ell
+        out[:, lo:lo + rows] = zp[_dft_block(p, lo, min(rows, p - lo))] @ x % ell
     return out.transpose(0, 2, 1).reshape(a.shape)
 
 
-def _dft_index(k: np.ndarray, lo: int, rows: int) -> np.ndarray:
-    """j*k mod p for j in [lo, lo + rows), where k = arange(p) as uint64.
+def _dft_index(p: int, lo: int, rows: int) -> np.ndarray:
+    """j*k mod p for j in [lo, lo + rows) and k in [0, p), read-only.
 
     Only row lo divides: row j + s is row j plus s*k mod p, for s = 1, 2,
     4, ..., and a sum a < 2p is reduced by min(a, a - p), where a - p wraps
     above a when a < p; an int64 % over all p^2 entries costs twice as much
     at p = 617.  Every entry is below p, so the int64 view indexes as is."""
-    p = np.uint64(len(k))
+    k = np.arange(p, dtype=np.uint64)
+    p = np.uint64(p)
     idx = np.empty((rows, len(k)), dtype=np.uint64)
     idx[0] = np.uint64(lo) * k % p  # lo * k < p^2 < 2^44
     step, s = k, 1  # step = s*k mod p
@@ -431,7 +412,11 @@ def _dft_index(k: np.ndarray, lo: int, rows: int) -> np.ndarray:
         np.minimum(block, block - p, out=block)
         step = np.minimum(step + step, step + step - p)
         s += t
-    return idx.view(np.int64)
+    return _frozen(idx.view(np.int64))
+
+
+# Every digit step, prime l and d of a field reads the same blocks: keep a few.
+_dft_block = functools.lru_cache(maxsize=8)(_dft_index)
 
 
 def n4_fourier(case: PowerMapCase, budget: int = DEFAULT_N4_BUDGET) -> int:

@@ -309,9 +309,9 @@ def scan_exponents(ctx: FieldContext, c: int, max_uniformity: int) -> ScanResult
         # Build this class's tables before the last class's go: freed with the
         # kernel's temporaries, glibc trims its heap and each class faults its
         # arrays in again.  Where no class is sampled, this order matters:
-        # without it scan --field 2^14 --max-uniformity 3 faults 95k times
-        # against 205 and takes 0.40-0.53 s against 0.30-0.35 s.
-        power.powd if c == 0 else power.log_powd if ctx.p == 2 else power.log_ratio
+        # without it scan --field 2^16 --c e:3 --max-uniformity 4 faults 1.7M
+        # times against 850 and takes 6.7-7.2 s against 4.1-4.3 s.
+        power.delta_pair
         del last
         spec = c_spectrum(PowerMapCase(power, c))
         if spec.uniformity <= max_uniformity:

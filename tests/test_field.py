@@ -332,12 +332,12 @@ def test_pow_table_threads_share_one_power_map():
     assert ctx.pow_table(7) is not ctx.pow_table(7)  # a new array per call
 
 
-def test_log_ratio_threads_share_one_power_map():
+def test_delta_pair_threads_share_one_power_map():
     """Threads read each generation of fresh power maps, one per d on an odd
     field, at the same time and in rotated orders, so their first reads of
-    (lu, ratio), x^d and the N4 pairs race with each other.  Each checks lu
-    and ratio, x^d, N4 and Delta_c through cases on the shared maps, and the
-    stateless ctx.pow_table."""
+    the delta pair (lu, ratio), x^d and the N4 pairs race with each other.
+    Each checks lu and ratio, x^d, N4 and Delta_c through cases on the shared
+    maps, and the stateless ctx.pow_table."""
     # A small field makes each table build cheap, so first reads are frequent.
     ctx = build_context(FieldSpec(3, 3))
     order = ctx.q - 1
@@ -359,7 +359,7 @@ def test_log_ratio_threads_share_one_power_map():
                 step.wait()
                 for j in range(len(ds)):
                     d = ds[(offset + j) % len(ds)]
-                    lu, ratio = maps[d].log_ratio
+                    lu, ratio = maps[d].delta_pair
                     if (int(lu[x]), int(ratio[x])) != expected[d]:
                         errors.append(d)
                     if not np.array_equal(maps[d].powd, powers[d]):
@@ -379,7 +379,7 @@ def test_log_ratio_threads_share_one_power_map():
     assert errors == []
     for gens in generations.values():
         for power in gens[0].values():
-            assert power.log_ratio[0] is power.log_ratio[0]
+            assert power.delta_pair[0] is power.delta_pair[0]
             assert power.n4_pairs is power.n4_pairs
             assert power.powd is power.powd
 
@@ -391,7 +391,7 @@ def test_context_attributes_do_not_change_after_construction():
     verify_with_context(ctx, 7, 2)
     sweep_c(ctx, 25)
     ctx.pow_table(5)
-    PowerMap(ctx, 5).log_ratio
+    PowerMap(ctx, 5).delta_pair
     assert vars(ctx).keys() == before.keys()
     assert all(vars(ctx)[k] is v for k, v in before.items())
 
@@ -500,11 +500,11 @@ def test_tables_are_read_only():
         cubes[1] = 0
     assert power.powd is cubes
     assert int(cubes[2]) == ctx.pow(2, 3)
-    lu, ratio = power.log_ratio
+    lu, ratio = power.delta_pair
     for arr in (lu, ratio):
         with pytest.raises(ValueError):
             arr[1] = 0
-    assert power.log_ratio[0] is lu and power.log_ratio[1] is ratio
+    assert power.delta_pair[0] is lu and power.delta_pair[1] is ratio
     assert int(lu[4]) == int(ctx.log[ctx.pow(ctx.add(4, 1), 3)])  # 4 is not 0 or -1
     for _, pair1, pair0 in power.n4_pairs:
         for arr in (pair1, pair0):

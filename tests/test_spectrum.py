@@ -234,12 +234,28 @@ def test_n4_matches_triple_loop():
 
 
 def test_log_domain_delta_values_every_c_and_x():
-    # every odd q <= 243, with one exponent per field rotating through the
-    # inverse and exponents with gcd(d, q-1) > 1
-    for i, (p, n) in enumerate(odd_fields(0, 243)):
-        q = p ** n
-        d = (q - 2, 2, 4, (q - 1) // 2, q - 1)[i % 5]
-        _assert_delta_matches_scalar(get_ctx(p, n), d, range(q))
+    # every odd q <= 243 and every q = 2^n <= 2^8, with one exponent per field
+    # rotating through the inverse and exponents with gcd(d, q-1) > 1; every
+    # c and x, so c = 0, c = 1 and the patched points x = 0 and x = -1 too
+    for fields in (odd_fields(0, 243), [(2, n) for n in range(1, 9)]):
+        for i, (p, n) in enumerate(fields):
+            q = p ** n
+            d = (q - 2, 2, 4, (q - 1) // 2, q - 1)[i % 5] or q - 1  # 0 at q = 2
+            _assert_delta_matches_scalar(get_ctx(p, n), d, range(q))
+
+
+@pytest.mark.parametrize("p,n", [(3, 5), (2, 8)], ids=["3^5", "2^8"])
+def test_power_map_keeps_only_what_its_kernel_reads(p, n):
+    """A spectrum at c != 0 caches the delta pair alone: no kernel reads x^d
+    itself, so x^d is not kept.  The N4 transforms add their own tables."""
+    ctx = get_ctx(p, n)
+    power = PowerMap(ctx, ctx.q - 2)
+    c_spectrum(PowerMapCase(power, 2))
+    assert vars(power).keys() == {"ctx", "d", "delta_pair"}
+    for arr in power.delta_pair:
+        assert arr.dtype == np.int32 and not arr.flags.writeable
+    n4_fourier(PowerMapCase(power, 2))
+    assert "n4_pairs" in vars(power)
 
 
 def test_log_domain_delta_values_sampled_c():
@@ -356,7 +372,7 @@ def test_delta_values_match_table_free_oracles(p, n):
             got = PowerMapCase(power, c).delta_values()[xs]
             want = [ctx.sub(v[ctx.add(x, 1)], ctx._mul_scalar(c, v[x])) for x in xs]
             assert got.tolist() == want, (p, n, d, c)
-        tables += [power.powd] + ([power.log_powd] if p == 2 else list(power.log_ratio))
+        tables += [power.powd, *power.delta_pair]
     for table in tables:
         assert table.dtype == np.int32 and not table.flags.writeable
 
@@ -440,15 +456,15 @@ def test_dft_index_is_exact_up_to_the_context_cap():
     and for the last rows of 65537, where p^2 passes int32, and of the
     largest prime below 2^22."""
     for p in (2, 3, 5, 7, 13, 131, 617):
-        k = np.arange(p, dtype=np.uint64)
         want = np.multiply.outer(np.arange(p), np.arange(p)) % p
         for rows in (1, 2, 3, 5, 8, p):
             for lo in range(0, p, rows):
-                got = spectrum._dft_index(k, lo, min(rows, p - lo))
+                got = spectrum._dft_index(p, lo, min(rows, p - lo))
                 assert got.dtype == np.int64 and (got == want[lo:lo + rows]).all(), (p, rows, lo)
+                assert not got.flags.writeable  # _dft_block shares it
     for p, rows in ((65537, 6), (4194301, 2)):
         assert is_prime_trial(p)
-        got = spectrum._dft_index(np.arange(p, dtype=np.uint64), p - rows, rows)
+        got = spectrum._dft_index(p, p - rows, rows)
         for j, row in zip(range(p - rows, p), got):
             assert (row == j * np.arange(p, dtype=np.int64) % p).all(), (p, j)
 
