@@ -5,9 +5,11 @@ whole c-DDT of a power map: row a scales to row 1, and the row-0 counts are
 controlled by gcd(d, q-1).  The spectrum is one histogram pass over the
 field, so it costs O(q) per (d, c).  _delta alone forms Delta_c, from a pair
 of per-d arrays that a PowerMap keeps for the whole field (delta_pair) and a
-DeltaSample computes on a fixed subset of x for any d.  Counts over a subset
-never exceed counts over the field, so a value hit more than U times there
-proves the uniformity exceeds U before any q-sized table is built.
+DeltaSample computes on a fixed subset of x for a block of d at once, with
+no division per d.  Counts over a subset never exceed counts over the field,
+so a value hit more than U times there, which a sorted row of the block
+shows as two equal entries U places apart, proves the uniformity exceeds U
+before any q-sized table is built.
 
 The quadruple count N4 of the second identity has two exact paths.
 n4_fourier, which the verifier runs, sums products of additive-character
@@ -20,6 +22,7 @@ enumerates the quadruples in O(q^2) and is kept as its reference.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field as _field
 from typing import Iterator, Optional
@@ -188,32 +191,87 @@ class PowerMapCase:
         return self._hist
 
 
+# B of d = i*B + j in DeltaSample, which keeps the B rows j*log mod q-1 in
+# 8*B*m bytes.  32 took 3-5% less time at 3^10 and 2^16, but added 0.2 MB
+# to the peak RSS of a scan at 2^14, where 16 keeps the rows within 0.25 MB.
+_D_STEP = 16
+
+
 class DeltaSample:
-    """Delta_c(x) on a fixed array x of elements outside {0, -1}, for any d
-    and c, from logs of x taken once: log(x+1), and log x in characteristic
-    2 or log(x/(x+1)) in odd characteristic; times d they give _delta's u, t."""
+    """Delta_c(x) on a fixed array x of elements outside {0, -1}, for a block
+    of exponents d at once, from logs of x taken once: log(x+1), and log x in
+    characteristic 2 or log(x/(x+1)) in odd characteristic; times d mod q-1
+    they give _delta's u, t.
+
+    No row divides: with d = i*B + j, B = _D_STEP, lo[j] = j*logs mod q-1 is
+    built once by adding and wrapping, and hi = i*B*logs mod q-1 is kept
+    from the last block and advanced by one add-and-wrap when i steps by
+    one, so only a jump of i costs one % pass.  A sum below 2(q-1) wraps by
+    min(s, s - (q-1)) in uint32, where s - (q-1) wraps above s when
+    s < q-1.  The kept hi makes a sample stateful: threads may not share it."""
 
     def __init__(self, ctx: FieldContext, x: np.ndarray):
         self.ctx, self.x = ctx, x
-        # int64, as a log times an exponent reaches 2^44
+        # int64, as the % pass multiplies a log by i*B < q
         lu = ctx.log[ctx.succ[x]].astype(np.int64)
         lv = ctx.log[x].astype(np.int64)
         if ctx.p != 2:
             lv -= lu  # log(x/(x+1)), mod q-1 as in PowerMap
             lv += (lv < 0) * (ctx.q - 1)
         self.logs = np.stack([lu, lv])
+        self._order = np.uint32(ctx.q - 1)  # np scalars: numpy 1.24 and 2 agree
+        step = self.logs.astype(np.uint32)
+        lo = np.zeros((_D_STEP,) + step.shape, dtype=np.uint32)
+        for j in range(1, _D_STEP):
+            self._wrap(np.add(lo[j - 1], step, out=lo[j]))
+        self._lo = lo
+        self._step = self._wrap(lo[-1] + step)  # B*logs mod q-1
+        self._i, self._hi = 0, lo[0]
 
-    def delta(self, d: int, c: int) -> np.ndarray:
-        """(x+1)^d - c*x^d on the sample; d in [1, q-1]."""
+    def _wrap(self, s: np.ndarray) -> np.ndarray:
+        """s mod q-1 for uint32 s below 2(q-1), in place."""
+        return np.minimum(s, s - self._order, out=s)
+
+    def _high(self, i: int) -> np.ndarray:
+        """i*B*logs mod q-1, kept for the next call."""
+        if i == self._i + 1:
+            self._hi = self._wrap(self._hi + self._step)
+        elif i != self._i:
+            self._hi = (self.logs * (i * _D_STEP) % (self.ctx.q - 1)).astype(np.uint32)
+        self._i = i
+        return self._hi
+
+    def log_rows(self, ds, halves: int = 2) -> np.ndarray:
+        """d*logs mod q-1 as uint32, shape (len(ds), halves, m), for each d
+        in ds, each in [1, q-1]; halves=1 forms the log(x+1) rows alone."""
+        i, j = zip(*(divmod(int(d), _D_STEP) for d in ds))
+        rows = self._lo[list(j), :halves]
+        start = 0
+        for step, run in itertools.groupby(i):  # ascending ds step i by one
+            end = start + len(list(run))
+            rows[start:end] += self._high(step)[:halves]
+            start = end
+        return self._wrap(rows)
+
+    def delta(self, ds, c: int) -> np.ndarray:
+        """(x+1)^d - c*x^d on the sample, one row per d in ds, each in
+        [1, q-1].  At c = 0 only the (x+1)^d rows are formed."""
         ctx = self.ctx
-        lu, t = logs = self.logs * d
-        logs %= ctx.q - 1  # in place, so lu and t, its rows, are reduced too
-        return _delta(ctx, ctx.exp[lu] if ctx.p == 2 else lu, t, c)
+        rows = self.log_rows(ds, 1 if c == 0 else 2).view(np.int32)  # entries < 2^23
+        lu, t = rows[:, 0], rows[:, -1]  # _delta reads no t at c = 0
+        return _delta(ctx, ctx.exp.take(lu) if ctx.p == 2 else lu, t, c)
 
-    def exceeds(self, d: int, c: int, bound: int) -> bool:
-        """True when some value of Delta_c is hit more than bound times on the
-        sample, which proves that the uniformity of x^d at c exceeds bound."""
-        return int(np.bincount(self.delta(d, c)).max()) > bound
+    def exceeds(self, ds, c: int, bound: int) -> np.ndarray:
+        """Per d in ds, True when some value of Delta_c is hit more than
+        bound times on the sample, which proves that the uniformity of x^d
+        at c exceeds bound.  Each row is sorted as int32: a value is hit
+        more than bound times where v[k] == v[k + bound] for some k."""
+        m = len(self.x)
+        if bound < 0 or bound >= m:  # no d passes, or none can fail
+            return np.full(len(ds), bound < 0)
+        v = self.delta(ds, c).astype(np.int32, copy=False)  # a new array
+        v.sort(axis=1)
+        return (v[:, bound:] == v[:, :m - bound]).any(axis=1)
 
 
 @dataclass

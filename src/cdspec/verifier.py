@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -267,11 +268,17 @@ class ScanResult:
 # A scan's sample has m points, where a random map to q values would show
 # m^(U+1) / ((U+1)! q^U) = _SAMPLE_COLLISIONS (U+1)-fold collisions, so a
 # class that fails on the field passes its sample with probability about
-# e^-5.  Over 11 scans from 5^5 to 3^9 (U = 1, 2), 4 to 10 took the same
-# time within noise; 3 left up to 6% of the failing classes to a full
-# spectrum, and from 8 up the q/4 rule skips the sample below q = 3,072 at
-# U = 2, where 5 saves a quarter to a half of a scan (5^5, 7^4).
+# e^-5.  Over 11 scans from 5^5 to 3^9 (U = 1, 2), best of 3 with the
+# block sample test, 5 took 244 ms in all, against 260 for 4, 273 for 6,
+# 349 for 8 and 431 for 10: 3 left up to 7% of the failing classes to a full
+# spectrum (557 ms), and the q/4 rule skips the sample of a U = 2 scan at
+# 3^7 from 6 up, at 7^4 from 8 and at 5^5 from 10, where a scan then takes
+# 7 to 10 times as long.  On the larger fields 5 to 10 were within noise.
 _SAMPLE_COLLISIONS = 5
+
+# A scan tests a block of classes at a time, of about this many sample
+# points: the block's log rows hold twice as many uint32 entries.
+_SAMPLE_BLOCK = 1 << 14
 
 
 def _scan_sample(ctx: FieldContext, max_uniformity: int) -> Optional[DeltaSample]:
@@ -290,6 +297,21 @@ def _scan_sample(ctx: FieldContext, max_uniformity: int) -> Optional[DeltaSample
     return DeltaSample(ctx, x[x != ctx.neg_one][:m])
 
 
+def _sampled_classes(ctx: FieldContext, c: int, max_uniformity: int) -> Iterator[list[int]]:
+    """The cyclotomic classes whose representative passes the scan sample
+    at c, in the order of cyclotomic_classes, read and tested a block at a
+    time: the classes are never all listed."""
+    classes = cyclotomic_classes(ctx.p, ctx.q)
+    sample = _scan_sample(ctx, max_uniformity)
+    if sample is None:
+        yield from classes
+        return
+    size = max(1, _SAMPLE_BLOCK // len(sample.x))
+    while block := list(itertools.islice(classes, size)):
+        ruled_out = sample.exceeds([members[0] for members in block], c, max_uniformity)
+        yield from itertools.compress(block, ~ruled_out)
+
+
 def scan_exponents(ctx: FieldContext, c: int, max_uniformity: int) -> ScanResult:
     """All cyclotomic-class representatives d whose uniformity stays under
     the threshold, with their spectra.
@@ -297,14 +319,12 @@ def scan_exponents(ctx: FieldContext, c: int, max_uniformity: int) -> ScanResult
     Each class is first tested on a sample of x (_scan_sample): a count over
     a subset of x never exceeds the count over the field, so a value hit
     more than max_uniformity times there rules the class out exactly, before
-    any table of x^d is built.  The classes that pass build their PowerMap
-    and full spectrum, so a scan costs about one spectrum per surviving
-    class plus one sample test per class."""
-    sample = _scan_sample(ctx, max_uniformity)
+    any table of x^d is built.  The sample tests a block of representatives
+    at once (_sampled_classes, DeltaSample.exceeds).  The classes that pass
+    build their PowerMap and full spectrum, so a scan costs about one
+    spectrum per surviving class plus one sample row per class."""
     rows, power = [], None
-    for members in cyclotomic_classes(ctx.p, ctx.q):
-        if sample is not None and sample.exceeds(members[0], c, max_uniformity):
-            continue
+    for members in _sampled_classes(ctx, c, max_uniformity):
         last, power = power, PowerMap(ctx, members[0])
         # Build this class's tables before the last class's go: freed with the
         # kernel's temporaries, glibc trims its heap and each class faults its

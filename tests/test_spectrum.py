@@ -290,8 +290,8 @@ _SAMPLE_FIELDS = [(2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3),
 @pytest.mark.parametrize("p,n", _SAMPLE_FIELDS, ids=[f"{p}^{n}" for p, n in _SAMPLE_FIELDS])
 def test_delta_sample_matches_scalar_on_whole_fields(p, n):
     """The sample is every x outside {0, -1}; every d and every c, 0 and 1
-    included.  Its counts never exceed the field's, so exceeds() is True
-    only where the uniformity is above the bound."""
+    included, each d a one-row call.  Its counts never exceed the field's,
+    so exceeds() is True only where the uniformity is above the bound."""
     ctx = get_ctx(p, n)
     q = ctx.q
     x = [v for v in range(q) if v not in (0, ctx.neg_one)]
@@ -301,12 +301,14 @@ def test_delta_sample_matches_scalar_on_whole_fields(p, n):
         u = [ctx.pow(ctx.add(v, 1), d) for v in x]
         v = [ctx.pow(v, d) for v in x]
         for c in range(q):
-            got = sample.delta(d, c)
+            got = sample.delta([d], c)
+            assert got.shape == (1, len(x)), (p, n, d, c)
+            got = got[0]
             assert got.tolist() == [ctx.sub(a, ctx.mul(c, b)) for a, b in zip(u, v)], (p, n, d, c)
             hist = PowerMapCase(PowerMap(ctx, d), c).delta_histogram()
             assert (np.bincount(got, minlength=q) <= hist).all()
             for bound in range(4):
-                assert not sample.exceeds(d, c, bound) or hist.max() > bound, (p, n, d, c)
+                assert not sample.exceeds([d], c, bound)[0] or hist.max() > bound, (p, n, d, c)
 
 
 _REALISTIC_FIELDS = [(3, 10), (5, 7), (7, 5), (2, 16)]
@@ -324,11 +326,11 @@ def test_zech_paths_agree_at_realistic_q(p, n):
     rng = SplitMix64(q)
     ds = {1, q - 2, (q - 1) // 2, q - 1} | {1 + rng.below(q - 1) for _ in range(3)}
     cs = {0, 1, ctx.neg_one, rng.below(q)}
-    for d in sorted(ds):
-        power = PowerMap(ctx, d)
-        for c in sorted(cs):
-            full = PowerMapCase(power, c).delta_values()
-            assert np.array_equal(sample.delta(d, c), full[sample.x]), (p, n, d, c)
+    for c in sorted(cs):
+        rows = sample.delta(sorted(ds), c)  # one block, as a scan reads it
+        for d, row in zip(sorted(ds), rows):
+            full = PowerMapCase(PowerMap(ctx, d), c).delta_values()
+            assert np.array_equal(row, full[sample.x]), (p, n, d, c)
     if p == 2:
         return
     g = ctx.generator
@@ -346,6 +348,64 @@ def test_zech_paths_agree_at_realistic_q(p, n):
     assert ctx.vec_add(a, b).tolist() == [ctx.add(x, y) for x, y in zip(a.tolist(), b.tolist())]
     assert ctx.vec_sub(a, b).tolist() == [ctx.sub(x, y) for x, y in zip(a.tolist(), b.tolist())]
     assert ctx.vec_sub(a, a).tolist() == [0] * len(a)
+
+
+_BLOCK_FIELDS = [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (3, 4),
+                 (5, 2), (7, 2), (11, 1), (13, 1)]
+
+
+@pytest.mark.parametrize("step", [3, spectrum._D_STEP])
+@pytest.mark.parametrize("p,n", _BLOCK_FIELDS, ids=[f"{p}^{n}" for p, n in _BLOCK_FIELDS])
+def test_sample_blocks_match_a_bincount_per_d(p, n, step, monkeypatch):
+    """exceeds() on a block of exponents decides as a bincount of each d's
+    Delta_c over the sample and a max() > bound check: every d and every c,
+    0 and 1 included, bounds -1 to 3, on the whole field outside {0, -1}
+    and on its first half.  The exponents come in blocks of 1 to 7 that
+    straddle multiples of the step B of d = i*B + j, then as the class
+    representatives, where d // B jumps, and again from the top, where it
+    jumps back.  B = 3 makes i step at q = 11 and 13, where every class is
+    a singleton."""
+    monkeypatch.setattr(spectrum, "_D_STEP", step)
+    ctx = get_ctx(p, n)
+    q = ctx.q
+    x = np.array([v for v in range(q) if v not in (0, ctx.neg_one)], dtype=np.int64)
+    reps = [members[0] for members in cyclotomic_classes(p, q)]
+    feeds = [list(range(1, q)), reps, reps[::-1]]
+    for xs in (x, x[:max(1, len(x) // 2)]):
+        sample = DeltaSample(ctx, xs)
+        for c in range(q):
+            hit = {d: int(np.bincount(PowerMapCase(PowerMap(ctx, d), c).delta_values()[xs]).max())
+                   for d in range(1, q)}
+            for bound in range(-1, 4):
+                size = (1, 2, 5, 7)[(c + bound) % 4]
+                for ds in feeds:
+                    got = np.concatenate([sample.exceeds(ds[k:k + size], c, bound)
+                                          for k in range(0, len(ds), size)])
+                    assert got.dtype == bool and len(got) == len(ds)
+                    want = [hit[d] > bound for d in ds]
+                    assert got.tolist() == want, (p, n, step, len(xs), c, bound, size)
+
+
+_ROW_FIELDS = [(3, 10), (2, 16), (5, 7), (65537, 1)]
+
+
+@pytest.mark.parametrize("p,n", _ROW_FIELDS, ids=[f"{p}^{n}" for p, n in _ROW_FIELDS])
+def test_sample_log_rows_match_the_division(p, n):
+    """The rows d*logs mod q-1 that a sample builds by adding and wrapping
+    in uint32 equal the int64 product and %, at d = 1, B-1, B, B+1, 2B,
+    q-2 and q-1, as d // B steps by one up to 8, across jumps of d // B by
+    more than one in both directions, fed one d at a time and as one block;
+    at c = 0 only the log(x+1) rows."""
+    ctx = get_ctx(p, n)
+    q, b = ctx.q, spectrum._D_STEP
+    sample = _scan_sample(ctx, 2)
+    ds = [1, b - 1, b, b + 1, *range(2 * b, 9 * b, b + 1), 20 * b + 3, q - 2, q - 1]
+    for feed in ([[d] for d in ds] + [[d] for d in reversed(ds)], [ds, ds[::-1]]):
+        for block in feed:
+            want = np.array(block, dtype=np.int64)[:, None, None] * sample.logs % (q - 1)
+            got = sample.log_rows(block)
+            assert got.dtype == np.uint32 and np.array_equal(got, want), (p, n, block)
+            assert np.array_equal(sample.log_rows(block, 1), want[:, :1]), (p, n, block)
 
 
 _ORACLE_FIELDS = [(2, 16), (3, 10)]

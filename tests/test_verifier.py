@@ -517,11 +517,40 @@ def test_scan_matches_one_spectrum_per_class(p, n):
                 assert scan_exponents(ctx, c, bound).rows == want, (p, n, c, bound)
             sample = verifier._scan_sample(ctx, bound)
             assert (sample is None) == (bound == 3), (p, n, bound)
-            rejected = [s.uniformity for m, s in spectra
-                        if sample is not None and sample.exceeds(m[0], c, bound)]
+            ruled_out = ([False] * len(spectra) if sample is None
+                         else sample.exceeds([m[0] for m, _ in spectra], c, bound))
+            rejected = [s.uniformity for (m, s), out in zip(spectra, ruled_out) if out]
             assert spy.call_count == len(spectra) - len(rejected), (p, n, c, bound)
             if sample is not None:
                 assert rejected and min(rejected) > bound, (p, n, c, bound)
+
+
+def test_scan_reads_the_classes_a_block_at_a_time(monkeypatch):
+    """The sample tests a block of representatives per call, and a scan
+    draws each block from cyclotomic_classes only when it tests it: it
+    never lists every class, and its rows do not change."""
+    ctx = get_ctx(2, 14)
+    drawn, blocks = [0], []
+
+    def counted(p, q):
+        for members in cyclotomic_classes(p, q):
+            drawn[0] += 1
+            yield members
+
+    exceeds = verifier.DeltaSample.exceeds
+
+    def recorded(self, ds, c, bound):
+        blocks.append((drawn[0], len(ds)))
+        return exceeds(self, ds, c, bound)
+
+    want = scan_exponents(ctx, 3, 2).rows
+    monkeypatch.setattr(verifier, "cyclotomic_classes", counted)
+    monkeypatch.setattr(verifier.DeltaSample, "exceeds", recorded)
+    assert scan_exponents(ctx, 3, 2).rows == want
+    size = verifier._SAMPLE_BLOCK // len(verifier._scan_sample(ctx, 2).x)
+    assert len(blocks) > 1 and drawn[0] == sum(n for _, n in blocks)
+    assert all(n == size for _, n in blocks[:-1]) and 1 <= blocks[-1][1] <= size
+    assert [at for at, _ in blocks] == [min(drawn[0], size * k) for k in range(1, len(blocks) + 1)]
 
 
 def test_scan_sample_size_follows_q_and_the_bound():
