@@ -17,14 +17,17 @@ The generator is the least element whose matrix powers pass the order test
 for every prime factor of q - 1.  The antilog table is built by doubling,
 exp[m:2m] = g^m * exp[:m], each block mapped through two lookup tables of
 about sqrt(q) entries (low and high halves of the digits) and one
-digit-wise add.  The absolute trace is the matrix trace of x -> a*x, so
-Tr(x) = sum_i x_i Tr(X^i) mod p over the n basis traces.  pow_table and
-vec_scale build their exponent vectors without a division pass over the
-field: pow_table adds two rows of about sqrt(q) residues, vec_scale adds
-log c - (q-1) to log x, and both keep the index into exp in [-(q-1), q-1),
-where a negative index wraps.  The polynomial routines (vec_mul_poly,
-_mul_scalar, _pow_scalar) and the digit loop of the scalar add remain as
-table-free references.
+digit-wise add.  In characteristic 2 the add is XOR, and the tables of g
+are built once, from the images of the basis vectors; each step squares
+the map by passing both tables through it.  In odd characteristic the
+tables are built per matrix, from the square of the last.  The absolute
+trace is the matrix trace of x -> a*x, so Tr(x) = sum_i x_i Tr(X^i) mod p
+over the n basis traces.  pow_table is one gather in x order,
+exp[d * log x mod (q-1)], with one remainder pass over the field.
+vec_scale adds log c - (q-1) to log x and so needs no division pass: the
+index into exp stays in [-(q-1), q-1), where a negative index wraps.  The
+polynomial routines (vec_mul_poly, _mul_scalar, _pow_scalar) and the digit
+loop of the scalar add remain as table-free references.
 
 Every table entry is below q <= 2^22 < 2^31, so the tables are int32, and
 so are the per-d tables of spectrum.PowerMap: half the memory and half the
@@ -117,6 +120,24 @@ def _digit_rows(values: np.ndarray, p: int, n: int) -> np.ndarray:
     return np.asarray(values, dtype=np.int64)[:, None] // place % p
 
 
+def _xor_span(images: np.ndarray) -> np.ndarray:
+    """t[v] = XOR of images[i] over the set bits i of v, as int32."""
+    t = np.zeros(1 << len(images), dtype=np.int32)
+    for i, image in enumerate(images):
+        t[1 << i:2 << i] = t[:1 << i] ^ image
+    return t
+
+
+def _xor_tables(mat: np.ndarray) -> np.ndarray:
+    """The lookup tables of x -> digits(x) @ mat over GF(2): the images of
+    every low h = ceil(n/2) bits, then of every high n - h bits, as XOR-spans
+    of the images of the basis vectors (the rows of mat)."""
+    n = len(mat)
+    h = (n + 1) // 2
+    images = mat % 2 @ (np.int64(1) << np.arange(n, dtype=np.int64))
+    return np.concatenate([_xor_span(images[:h]), _xor_span(images[h:])])
+
+
 def _linear_mapper(p: int, n: int):
     """apply(mat, x): the encodings of digits(x) @ mat over GF(p).
 
@@ -131,19 +152,16 @@ def _linear_mapper(p: int, n: int):
         return lambda mat, x: np.asarray(x, dtype=np.int64) * int(mat[0, 0]) % p
     h = (n + 1) // 2
     split = p ** h
+    if p == 2:
+        def apply(mat, x):
+            table = _xor_tables(mat)
+            return table[:split].take(x & (split - 1)) ^ table[split:].take(x >> h)
+        return apply
+
     # digit rows of every low part (first h columns), then of every high part
     parts = np.zeros((split + p ** (n - h), n), dtype=np.int64)
     parts[:split, :h] = _digit_rows(np.arange(split), p, h)
     parts[split:, h:] = _digit_rows(np.arange(p ** (n - h)), p, n - h)
-
-    if p == 2:
-        weights = np.int64(1) << np.arange(n, dtype=np.int64)
-
-        def apply(mat, x):
-            table = parts @ mat % 2 @ weights
-            return table[:split].take(x & (split - 1)) ^ table[split:].take(x >> h)
-        return apply
-
     w = p.bit_length() + 1
     weights = np.int64(1) << (w * np.arange(n, dtype=np.int64))
     # Unpacking reads g lanes at a time through a table that maps each lane
@@ -364,17 +382,41 @@ class FieldContext:
 
     def _build_exp(self, cpow: np.ndarray) -> np.ndarray:
         """exp[k] = g^k by doubling: exp[m:2m] = g^m * exp[:m], where the
-        matrix of g^(2m) is the square of the matrix of g^m."""
+        map x -> g^(2m) * x is x -> g^m * x applied twice.
+
+        In characteristic 2 that map is held as two lookup tables, the
+        images of the low h = ceil(n/2) bits and of the high n - h bits,
+        and g^m * x is their XOR.  The tables of g are XOR-spans of the
+        images of the basis vectors; each step squares the map by passing
+        both old tables through it.  In odd characteristic _linear_mapper
+        builds the tables of each step from its matrix."""
         p, n, order = self.p, self.n, self.q - 1
-        apply = _linear_mapper(p, n)
         exp = np.empty(order, dtype=np.int32)
         exp[0] = 1
         gm = self._mul_matrices(np.array([self.generator]), cpow)[0]
         m = 1
+        if p != 2:
+            apply = _linear_mapper(p, n)
+            while m < order:
+                k = min(m, order - m)
+                exp[m:m + k] = apply(gm, exp[:k])
+                gm = gm @ gm % p
+                m *= 2
+            return exp
+        h = (n + 1) // 2
+        split, mask = 1 << h, (1 << h) - 1
+        table = _xor_tables(gm)
         while m < order:
             k = min(m, order - m)
-            exp[m:m + k] = apply(gm, exp[:k])
-            gm = gm @ gm % p
+            low, high = table[:split], table[split:]
+            x, out = exp[:k], exp[m:m + k]
+            index = np.bitwise_and(x, mask, dtype=np.intp)
+            lo = low.take(index)
+            np.right_shift(x, h, out=index)
+            high.take(index, out=out, mode="clip")  # in range; "clip" skips a copy
+            out ^= lo
+            if 2 * m < order:  # both new tables at once, from the old ones
+                table = low.take(table & mask) ^ high.take(table >> h)
             m *= 2
         return exp
 
@@ -384,7 +426,7 @@ class FieldContext:
         exp = self._build_exp(cpow)
         log = np.full(q, -1, dtype=np.int32)
         log.put(exp, np.arange(order, dtype=np.int32))
-        if log[0] != -1 or int((log[1:] >= 0).sum()) != order:
+        if log[0] != -1 or log[1:].min() < 0:  # exp missed an element
             raise ReducibleModulus(
                 f"element {self.generator} does not generate GF({p}^{n})^*"
             )
@@ -574,19 +616,16 @@ class FieldContext:
         return t.reshape(shape)
 
     def pow_table(self, d: int) -> np.ndarray:
-        """x^d for every x, as a new read-only array; d must be in [1, q-1]."""
+        """x^d for every x, as a new read-only array; d must be in [1, q-1].
+        One gather in x order, exp[d * log x mod (q-1)]; d * log x reaches
+        about q^2 > 2^31, so the product is int64."""
         if not 1 <= d <= self.q - 1:
             raise ValueError(f"exponent {d} out of range [1, {self.q - 1}]")
-        # k = i*b + j with b = ceil(sqrt(q-1)): k*d mod (q-1) is j*d mod (q-1)
-        # plus i*(b*d mod (q-1)) mod (q-1).  The i row is shifted by -(q-1),
-        # so each sum indexes exp in [-(q-1), q-1) and only the two short
-        # rows divide.
-        order = self.q - 1
-        b = math.isqrt(order - 1) + 1
-        low = np.arange(b, dtype=np.int64) * d % order
-        high = np.arange(-(-order // b), dtype=np.int64) * (b * d % order) % order - order
-        t = np.zeros(self.q, dtype=np.int32)
-        t.put(self.exp, self.exp[(high[:, None] + low).ravel()[:order]])
+        # log 0 = -1, so entry 0 gathers some power; 0^d = 0 for d >= 1
+        k = np.multiply(self.log, d, dtype=np.int64)
+        k %= self.q - 1
+        t = self.exp.take(k)
+        t[0] = 0
         return _frozen(t)
 
     def __repr__(self) -> str:

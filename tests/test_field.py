@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 import sys
@@ -143,6 +144,63 @@ GRID_MODULI = {
 def test_grid_moduli_are_pinned(p, n):
     for index, low in enumerate(GRID_MODULI[p, n]):
         assert find_irreducible(p, n, index) == low + (0,) * (n - len(low)) + (1,)
+
+
+# (generator, sha256 of the bytes of exp, log, succ and, in odd p, zech),
+# pinned from a construction that built every doubling step's lookup tables
+# from its matrix; any other construction must reproduce them byte for
+# byte.  Every 2^n has its own pair of low and high tables, of unequal size
+# at odd n.
+TABLE_DIGESTS = {
+    (2, 2): (2, "5db64f07c6fb93d4fea2f3cc3e6d185db4d33e8dd516e2f09d0a9ec88c39c942"),
+    (2, 3): (2, "4453f1a801306dfaa8a6c0c18947a191d9b63cea0f0af4dc8cdb603245df9276"),
+    (2, 4): (2, "d5001554a7a90c3dc397f0c62b7c67c860839d2b6cfbd28024acf76bd8d606cc"),
+    (2, 5): (2, "8a4cbb3c3b158f0e7539e4aa2c56c986359e8dcea2f42f33bcd36272a50a3c75"),
+    (2, 6): (2, "f0303eaaab62b2415e2f797010c9289b3477c2435d6ef0714f017852a5bfb6dd"),
+    (2, 7): (2, "7bf500da919ab569e339bc4fca8fb6f1cac1bb9a4caaa292ac5c14149de98780"),
+    (2, 8): (3, "eaac8f6ac75f03a9dde9849620753a45b9010aa0ebc4fc3f39198b3f23862b18"),
+    (2, 9): (7, "eb5c9f64af310fe8e5c7f31b219a8bd9389db88f99335f9bc8d0067e607288a5"),
+    (2, 10): (2, "71548c9b487be6f71c0bc58a4c784e8567a1a7967aa5de710506672b1b4166af"),
+    (2, 11): (2, "871edb6b0b814bb1504434db215187e3ff29056f27b384fa55cc09157f3386f0"),
+    (2, 12): (3, "5aef3a20bc4c3c4e637aaea10e4923868b7374b9277208227ec34beb44e3e9ec"),
+    (2, 13): (2, "e6cfe51a5ef391e57951f701dccf3bac43df879b2ab0c435ce879ea47385b4f8"),
+    (2, 14): (7, "4b0895a6fc7d15b387f320616bc648f5fe4128840cad194e06e9d5cd35039424"),
+    (2, 15): (2, "36a41c486227d541b46327dd1465ca6bf2022f515e9c179614b37c3fb599a53c"),
+    (2, 16): (3, "caf2877b39a324688568633ffc642830016261c47013cea9d03ddc625be49e68"),
+    (2, 17): (2, "d6c09e04a4d5d46e2289358fa19db44b1446858e5610c9d1854c3db43dc44521"),
+    (2, 18): (10, "7a711a10e74d8ffb8d3848292f98abf65c9d431841e0196240b3fad0dbdafcf1"),
+    (2, 19): (2, "97d95f8207475236b8c53de6af0a5f597fcff8512877b6fa3ec4b13e01bea6ca"),
+    (2, 20): (2, "bcefefd8ae1998472ea9fd3590ed78f200cc5a2fb5cd4790d90eb95b4e5dd82d"),
+    (2, 21): (2, "f8ecbd5997f39a149c4d5c0f4bb048f87f1c6c1d70ce0d01df34b239350eea47"),
+    (2, 22): (2, "d26a15f5873ae5896d971906d97be05eb3da89b530e0be3fddf09b8a6e7f8687"),
+    (3, 11): (5, "ef3094db9a1db0e7fade7e2aae910d608f9266fb7b7917a091c6da89e2cc1661"),
+    (3, 13): (3, "258d9346088a2740e5837b4e87c3c8db4ba90ae4f3813dd2e4a1011003b1bb26"),
+    (5, 9): (5, "2c335effcc8e0600c6936d068f93c470daecc508adf01d62c4968b566ef14812"),
+}
+
+
+@pytest.mark.parametrize("p, n", sorted(TABLE_DIGESTS), ids=[f"{p}^{n}" for p, n in sorted(TABLE_DIGESTS)])
+def test_tables_are_pinned(p, n):
+    ctx = build_context(FieldSpec(p, n))
+    digest = hashlib.sha256()
+    for name in ("exp", "log", "succ") + (("zech",) if p != 2 else ()):
+        table = getattr(ctx, name)
+        assert table.dtype == np.int32, name
+        digest.update(table.tobytes())
+    assert (ctx.generator, digest.hexdigest()) == TABLE_DIGESTS[p, n]
+
+
+def test_exp_steps_by_the_generator_on_every_small_field():
+    """exp[k+1] = exp[k] * g by polynomial arithmetic, for every k (the last
+    wraps to exp[0] = 1), on every field with q <= 2^12."""
+    fields = [(p, n) for p in range(2, 1 << 12) if is_prime_trial(p)
+              for n in range(1, 13) if p ** n <= 1 << 12]
+    assert (2, 12) in fields and (4093, 1) in fields and (3, 7) in fields
+    for p, n in fields:
+        ctx = build_context(FieldSpec(p, n))
+        g = ctx.generator
+        exp = ctx.exp.tolist()
+        assert [ctx._mul_scalar(x, g) for x in exp] == exp[1:] + exp[:1], (p, n)
 
 
 def test_parse_field_spec():
@@ -463,6 +521,29 @@ def test_pow_table_matches_mod_formula_on_large_fields():
         q = ctx.q
         for d in [1, q - 2, q - 1] + [1 + rng.below(q - 1) for _ in range(3)]:
             assert np.array_equal(ctx.pow_table(d), _pow_table_mod(ctx, d)), (p, n, d)
+
+
+def test_pow_table_at_zero_and_at_extreme_exponents_on_2_20():
+    """x = 0 and d in {1, q-2, q-1} at 2^20, where log x * d passes 2^31
+    and an int32 product would wrap; each entry agrees with Python-int pow."""
+    ctx = get_ctx(2, 20)
+    q, order = ctx.q, ctx.q - 1
+    X = np.arange(q)
+    top = int(ctx.exp[order - 1])  # log = q - 2
+    assert (order - 1) * (q - 2) >= 2 ** 31
+    rng = SplitMix64(20)
+    xs = [0, 1, 2, top] + [rng.below(q) for _ in range(20)]
+    for d in (1, q - 2, q - 1):
+        t = ctx.pow_table(d)
+        assert t.dtype == np.int32 and t[0] == 0
+        for x in xs:
+            assert int(t[x]) == ctx.pow(x, d), (d, x)
+        if d == 1:
+            assert np.array_equal(t, X)
+        elif d == q - 1:
+            assert np.array_equal(t[1:], np.ones(order, dtype=np.int32))
+        else:  # x^(q-2) = 1/x: log t[x] = -log x mod (q-1)
+            assert np.array_equal(ctx.log[t[1:]], -ctx.log[1:] % order)
 
 
 def test_vec_scale_shapes_and_writable_result():
