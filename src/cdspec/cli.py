@@ -172,19 +172,6 @@ def _omega_text(omega: dict[int, int]) -> str:
     return ", ".join(f"{i}:{w}" for i, w in sorted(omega.items()))
 
 
-def _omega_jsons(reports) -> list[str]:
-    """Each report's omega as canonical JSON.  A sweep has a few distinct
-    spectra, so each is formatted once."""
-    texts: dict = {}
-    out = []
-    for r in reports:
-        key = tuple(r.computed.omega.items())
-        if key not in texts:
-            texts[key] = _canonical(omega_doc(r.computed.omega))
-        out.append(texts[key])
-    return out
-
-
 def _verify_csv(ctx: FieldContext, reports, members) -> str:
     """The verify/sweep CSV: the header, then for each (c, i) of members the
     row of reports[i] at c.  The cells after c are formatted once per report;
@@ -192,19 +179,19 @@ def _verify_csv(ctx: FieldContext, reports, members) -> str:
     header, before, *after = _csv_text(
         ["p", "n", "modulus", "d", "c", "verdict", "uniformity", "omega_json", "eq1", "eq2"],
         [[ctx.p, ctx.n, ",".join(map(str, ctx.modulus)), reports[0].d],
-         *([r.verdict, r.computed.uniformity, omega, _eq_str(r.eq1_ok), _eq_str(r.eq2_ok)]
-           for r, omega in zip(reports, _omega_jsons(reports)))],
+         *([r.verdict, r.computed.uniformity, _canonical(omega_doc(r.computed.omega)),
+            _eq_str(r.eq1_ok), _eq_str(r.eq2_ok)] for r in reports)],
     ).split("\n")[:-1]
     return "".join([header, "\n", *(f"{before},{c},{after[i]}\n" for c, i in members)])
 
 
 def _sweep_json(result: verifier.SweepResult, members) -> str:
-    """to_json(result.as_dict()), each orbit's report formatted once with its
-    two c values left open.  With sorted keys "c" comes first in "case" and
+    """to_json(result.as_dict()), each outcome's report formatted once with
+    its two c values left open.  With sorted keys "c" comes first in "case" and
     in "computed", and those two come first in a report; the sweep's case
     and tallies hold only numbers and fixed keys."""
     bodies = []
-    for _, r in result.orbits:
+    for r in result.outcomes:
         doc = r.as_dict()
         case, computed = doc.pop("case"), doc.pop("computed")
         del case["c"], computed["c"]
@@ -282,14 +269,14 @@ def cmd_sweep(args) -> int:
     ctx = _build_ctx(args)
     d = parse_d(ctx, args.d, args.k)
     result = verifier.sweep_c(ctx, d, n4_budget=args.budget_n4)
-    # every form is written from the orbits: each report is formatted once
-    # with c left open, then once per member in ascending c
-    reports = [r for _, r in result.orbits]
+    # every form is written from the outcomes: each report is formatted once
+    # with c left open, then once per swept c in ascending c
+    reports = result.outcomes
     members = result.members()
 
     def lines() -> list[str]:
-        tails = [f": {r.verdict}, uniformity={r.computed.uniformity}, {omega}"
-                 for r, omega in zip(reports, _omega_jsons(reports))]
+        tails = [f": {r.verdict}, uniformity={r.computed.uniformity}, "
+                 f"{_canonical(omega_doc(r.computed.omega))}" for r in reports]
         return [
             f"GF({result.p}^{result.n}) d = {result.d}: sweep over {len(members)} c values",
             "tallies: " + ", ".join(f"{k}={v}" for k, v in result.tallies.items()),

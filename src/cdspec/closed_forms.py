@@ -1,8 +1,9 @@
 """Closed-form spectrum predictors and the applicability dispatcher.
 
 Each predictor is a pure integer function of pre-evaluated conditions
-(traces, character values, parities); dispatch() evaluates those conditions
-over a PowerMap's field and returns every prediction whose hypotheses hold.
+(traces, character values, parities); dispatch() returns every prediction
+whose hypotheses hold, and reads c only through dispatch_key(), so every c
+with one key has one dispatch.
 All arithmetic is exact: a non-exact division or a negative entry marks the
 prediction inconsistent instead of rounding.
 """
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import Inapplicable
+from .field import FieldContext
 from .spectrum import PowerMap, counting_identity_errors, normalize_exponent, omega_doc
 
 
@@ -266,15 +268,36 @@ def predict_5n_minus3_half(n: int) -> SpectrumPrediction:
 # Dispatcher
 # ---------------------------------------------------------------------------
 
+def dispatch_key(ctx: FieldContext, c: int) -> tuple:
+    """The values of c that dispatch reads: c itself when it is one of the
+    prime-field constants 0, 1, 4, 1/4, -1 that dispatch tests, else None;
+    then (Tr c, Tr 1/c) when p = 2, or chi(c^2 - 4c), chi(1 - 4c), chi(c)
+    when p is odd.
+
+    In odd characteristic c^2 - 4c = c*(c - 4) and 1 - 4c = -4*(c - 1/4),
+    and 4 is a square, so each character is a product of chi at c, c - 4,
+    c - 1/4 and -1: one log lookup each, with no field product.  Subtracting
+    a prime-field k from c changes its digit 0 alone.
+    """
+    p, chi = ctx.p, ctx.chi
+    if p == 2:
+        return (c,) if c < 2 else (None, ctx.trace(c), ctx.trace(ctx.inv(c)))
+    four, quarter = 4 % p, pow(4, -1, p)
+    base, chi_c = c - c % p, chi(c)
+    return (c if c in (0, 1, four, quarter, p - 1) else None,
+            chi_c * chi(base + (c - four) % p), chi(p - 1) * chi(base + (c - quarter) % p), chi_c)
+
+
 def dispatch(power: PowerMap, c: int) -> list[SpectrumPrediction]:
     """Every closed-form prediction whose hypotheses hold at (p, n, d, c).
 
     d matches a family exponent in its cyclotomic class, since x^d and
     x^(pd) have the same spectrum at every c.  An empty list means the case
-    is brute-force only.
+    is brute-force only.  c is read through dispatch_key(power.ctx, c) alone.
     """
     ctx, dn = power.ctx, power.d
     p, n, q = ctx.p, ctx.n, ctx.q
+    const, *values = dispatch_key(ctx, c)
 
     def matches(e: int) -> bool:
         return normalize_exponent(e, q) in power.members
@@ -282,20 +305,13 @@ def dispatch(power: PowerMap, c: int) -> list[SpectrumPrediction]:
     preds: list[SpectrumPrediction] = []
 
     # inverse function rows: d = q - 2 (c outside {0, 1} implies q >= 3)
-    if c not in (0, 1) and matches(q - 2):
+    if const not in (0, 1) and matches(q - 2):
         if p == 2:
-            preds.append(
-                predict_inverse_char2(n, ctx.trace(c), ctx.trace(ctx.inv(c)))
-            )
-        else:
-            four = 4 % p
-            four_inv = pow(four, p - 2, p)
-            if c not in (four, four_inv):
-                chi1 = ctx.chi(ctx.sub(ctx.mul(c, c), ctx.mul(four, c)))
-                chi2 = ctx.chi(ctx.sub(1, ctx.mul(four, c)))
-                preds.append(predict_inverse_odd(q, chi1, chi2, ctx.chi(c)))
+            preds.append(predict_inverse_char2(n, *values))
+        elif const not in (4 % p, pow(4, -1, p)):
+            preds.append(predict_inverse_odd(q, *values))
 
-    if p > 2 and c == ctx.neg_one:
+    if p > 2 and const == ctx.neg_one:
         if p == 3 and n >= 2:
             if n % 2 == 0 and matches((q + 3) // 2):
                 preds.append(predict_3n_plus3_half(n))

@@ -10,7 +10,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .closed_forms import SpectrumPrediction, dispatch
+from .closed_forms import SpectrumPrediction, dispatch, dispatch_key
 from .errors import BudgetExceeded
 from .field import FieldContext, FieldSpec, build_context
 from .spectrum import (
@@ -104,7 +104,8 @@ def _measure(power: PowerMap, c: int, n4_budget: int) -> tuple:
 
 def _report(power: PowerMap, c: int, measured: tuple) -> VerifyReport:
     """The report at c, from _measure at c or at any c sharing its spectrum
-    and N4, and dispatch at c; it gets its own copy of the spectrum."""
+    and N4, and dispatch at c; it gets its own copy of the spectrum.  It is
+    the report at every c with that spectrum, N4 and dispatch_key, up to c."""
     spec, n4, idrep = measured
     preds = dispatch(power, c)
     target = spec.positive()
@@ -143,21 +144,23 @@ def verify_case(
 
 @dataclass
 class SweepResult:
-    """A sweep over every c except 1, stored as one (members, report) entry
-    per Frobenius orbit of c: the report holds what every member shares and
-    is taken at members[0].  Per-c reports and documents are derived."""
+    """A sweep over every c except 1, stored as one report per distinct
+    outcome (omega, N4, dispatch key), taken at the first c that has it, and
+    one (members, outcome index) entry per Frobenius orbit of c.  Per-c
+    reports and documents are derived."""
 
     p: int
     n: int
     modulus: tuple[int, ...]
     d: int
-    orbits: list[tuple[list[int], VerifyReport]]
+    outcomes: list[VerifyReport]
+    orbits: list[tuple[list[int], int]]
     tallies: dict[str, int]
 
     def members(self) -> list[tuple[int, int]]:
-        """(c, i) for every swept c in ascending c, where orbits[i] holds c."""
+        """(c, i) for every swept c in ascending c, where outcomes[i] holds c."""
         owner = [-1] * self.p ** self.n
-        for i, (cs, _) in enumerate(self.orbits):
+        for cs, i in self.orbits:
             for c in cs:
                 owner[c] = i
         return [(c, i) for c, i in enumerate(owner) if i >= 0]
@@ -168,16 +171,16 @@ class SweepResult:
         neither the others nor the sweep."""
         out = []
         for c, i in self.members():
-            r = self.orbits[i][1]
+            r = self.outcomes[i]
             out.append(replace(r, c=c, predictions=list(r.predictions),
                                computed=replace(r.computed, c=c, omega=dict(r.computed.omega))))
         return out
 
     def as_dict(self) -> dict:
-        """The sweep document.  The reports of one orbit share every
+        """The sweep document.  The reports of one outcome share every
         sub-document except case and computed, which hold c: an edit to a
         shared one shows in the others."""
-        docs = [r.as_dict() for _, r in self.orbits]
+        docs = [r.as_dict() for r in self.outcomes]
         return {
             "case": {"p": self.p, "n": self.n, "modulus": list(self.modulus), "d": self.d},
             "tallies": self.tallies,
@@ -190,22 +193,23 @@ class SweepResult:
 
 
 def sweep_c(ctx: FieldContext, d: int, *, n4_budget: int = DEFAULT_N4_BUDGET) -> SweepResult:
-    """Verify every c in GF(q) except c = 1, one report per Frobenius orbit.
+    """Verify every c in GF(q) except c = 1, one report per distinct outcome.
 
     The spectrum, the quadruple count and the identities are computed once
     per orbit of c under Frobenius c -> c^p and inversion c -> 1/c, and the
-    predictions and the report once per Frobenius orbit.  Its reports are
-    the same as verifying each c.  Frobenius: x -> x^p maps Delta_c(x) = b
-    to Delta_{c^p}(x^p) = b^p, and the quadruples of (d, c) to those of
-    (d, c^p), so omega and N4 agree on the orbit.  The dispatcher reads c
-    only through Tr(c), Tr(1/c), chi of c^2 - 4c, 1 - 4c and c, and
-    equality with the prime-field constants 0, 1, 4, 1/4 and -1,
-    all fixed by x -> x^p.  Inversion: Delta_c(-1 - y) =
-    -c*(-1)^d*Delta_{1/c}(y), a fixed nonzero multiple, so c and 1/c share
-    omega; dividing the power equation of a quadruple of (d, c) by c and
-    swapping (x1, x2, x3, x4) -> (x2, x1, x4, x3) gives one of (d, 1/c), so
-    N4 agrees too.  Inversion swaps Tr(c) with Tr(1/c) and chi(c^2 - 4c)
-    with chi(1 - 4c), so the dispatcher runs again for the orbit of 1/c.
+    predictions and the report once per distinct outcome (omega, N4,
+    dispatch_key(ctx, c)): the dispatcher reads c only through its key, so
+    orbits with one outcome share one report.  Its reports are the same as
+    verifying each c.  Frobenius: x -> x^p maps Delta_c(x) = b to
+    Delta_{c^p}(x^p) = b^p, and the quadruples of (d, c) to those of
+    (d, c^p), so omega and N4 agree on the orbit, and so does the key: its
+    traces, characters and prime-field constants are fixed by x -> x^p.
+    Inversion: Delta_c(-1 - y) = -c*(-1)^d*Delta_{1/c}(y), a fixed nonzero
+    multiple, so c and 1/c share omega; dividing the power equation of a
+    quadruple of (d, c) by c and swapping (x1, x2, x3, x4) -> (x2, x1, x4, x3)
+    gives one of (d, 1/c), so N4 agrees too.  Inversion swaps Tr(c) with
+    Tr(1/c) and chi(c^2 - 4c) with chi(1 - 4c), so the orbit of 1/c takes
+    its own key.  The outcomes live for this call alone.
 
     c = 0 is its own orbit.  The Frobenius orbit of c = g^m is the class M
     of m under m -> p*m mod (q-1), and that of 1/c is (q-1) - M: the two are
@@ -216,15 +220,22 @@ def sweep_c(ctx: FieldContext, d: int, *, n4_budget: int = DEFAULT_N4_BUDGET) ->
     """
     power = PowerMap(ctx, d)
     order = ctx.q - 1
-    orbits: list[tuple[list[int], VerifyReport]] = []
+    index: dict[tuple, int] = {}
+    outcomes: list[VerifyReport] = []
+    orbits: list[tuple[list[int], int]] = []
     labels: Counter = Counter()
     verdicts: Counter = Counter()
 
     def add(cs: list[int], measured: tuple) -> None:
-        report = _report(power, cs[0], measured)
-        orbits.append((cs, report))
-        labels[uniformity_label(report.computed.uniformity)] += len(cs)
-        verdicts[report.verdict] += len(cs)
+        spec, n4, _ = measured
+        outcome = (tuple(spec.omega.items()), n4, dispatch_key(ctx, cs[0]))
+        if outcome not in index:
+            index[outcome] = len(outcomes)
+            outcomes.append(_report(power, cs[0], measured))
+        i = index[outcome]
+        orbits.append((cs, i))
+        labels[uniformity_label(outcomes[i].computed.uniformity)] += len(cs)
+        verdicts[outcomes[i].verdict] += len(cs)
 
     add([0], _measure(power, 0, n4_budget))
     for members in cyclotomic_classes(ctx.p, ctx.q):
@@ -239,8 +250,8 @@ def sweep_c(ctx: FieldContext, d: int, *, n4_budget: int = DEFAULT_N4_BUDGET) ->
     tallies = {"pcn": labels["PcN"], "apcn": labels["APcN"]}
     for v in (MATCH, MISMATCH, NO_PREDICTOR, PREDICTOR_INCONSISTENT):
         tallies[v] = verdicts[v]
-    return SweepResult(p=ctx.p, n=ctx.n, modulus=ctx.modulus, d=power.d, orbits=orbits,
-                       tallies=tallies)
+    return SweepResult(p=ctx.p, n=ctx.n, modulus=ctx.modulus, d=power.d, outcomes=outcomes,
+                       orbits=orbits, tallies=tallies)
 
 
 @dataclass

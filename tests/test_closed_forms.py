@@ -19,9 +19,9 @@ from cdspec import (
     predict_inverse_odd,
     predict_pk1_half,
 )
-from cdspec.closed_forms import TheoremId
+from cdspec.closed_forms import TheoremId, dispatch_key
 
-from conftest import get_ctx
+from conftest import get_ctx, odd_fields
 
 
 # ---------------------------------------------------------------------------
@@ -235,3 +235,48 @@ def test_condition_tuples_recorded():
     pred = dispatch(PowerMap(get_ctx(5, 2), 11), 4)[0]
     names = [k for k, _ in pred.conditions]
     assert "gamma_5n" in names
+
+
+_KEY_FIELDS = [(2, n) for n in range(1, 9)] + odd_fields(1, 343)
+
+
+def _family_exponents(p, n):
+    """Every family exponent dispatch tests at (p, n), as a positive d."""
+    q = p ** n
+    ds = [q - 2]
+    if p == 3:
+        ds += [(q + 3) // 2, q - 3]
+    if p == 5:
+        ds.append((q - 3) // 2)
+    if p > 2:
+        ds += [(p ** k + 1) // 2 for k in range(1, 2 * n + 1, 2) if math.gcd(n, k) == 1]
+    return [d for d in ds if d > 0]
+
+
+@pytest.mark.parametrize("p,n", _KEY_FIELDS, ids=[f"{p}^{n}" for p, n in _KEY_FIELDS])
+def test_dispatch_key_matches_the_field_expressions(p, n):
+    """At every c: the traces, or the characters through field products, and
+    the prime-field constants dispatch tests; and every c of one key has
+    one dispatch, at every family exponent."""
+    ctx = get_ctx(p, n)
+    if p == 2:
+        constants = {0, 1}
+    else:
+        four = 4 % p
+        constants = {0, 1, four, pow(four, -1, p), ctx.neg_one}
+    by_key = {}
+    for c in range(ctx.q):
+        key = dispatch_key(ctx, c)
+        const = c if c in constants else None
+        if p == 2:
+            expected = (c,) if c < 2 else (None, ctx.trace(c), ctx.trace(ctx.inv(c)))
+        else:
+            expected = (const, ctx.chi(ctx.sub(ctx.mul(c, c), ctx.mul(four, c))),
+                        ctx.chi(ctx.sub(1, ctx.mul(four, c))), ctx.chi(c))
+        assert key == expected, c
+        by_key.setdefault(key, []).append(c)
+    for d in _family_exponents(p, n):
+        power = PowerMap(ctx, d)
+        for key, cs in by_key.items():
+            docs = {c: [pr.as_dict() for pr in dispatch(power, c)] for c in cs}
+            assert all(doc == docs[cs[0]] for doc in docs.values()), (d, key)

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -18,7 +19,7 @@ from cdspec import (
     verify_case,
     verify_with_context,
 )
-from cdspec.closed_forms import TheoremId
+from cdspec.closed_forms import TheoremId, dispatch_key
 from cdspec.spectrum import (
     DEFAULT_N4_BUDGET,
     PowerMap,
@@ -409,24 +410,58 @@ _WORK_FIELDS = [(2, 5), (2, 6), (3, 1), (3, 4), (5, 3), (7, 2), (13, 2)]
 @pytest.mark.parametrize("p,n", _WORK_FIELDS, ids=[f"{p}^{n}" for p, n in _WORK_FIELDS])
 def test_sweep_computes_once_per_orbit(p, n, monkeypatch):
     """c = 0, then one spectrum per orbit of GF(q)* minus 1 under c -> c^p and
-    c -> 1/c, and one dispatch and one stored report per orbit under c -> c^p
-    alone: the bytes do not show whether a sweep shares a spectrum across
-    inversion or stores a report per c, this does."""
+    c -> 1/c, and one dispatch and one stored report per distinct outcome
+    (omega, N4, dispatch key) of verifying each c alone: the bytes do not
+    show whether a sweep shares a spectrum across inversion or a report
+    across orbits, this does."""
+    ctx = get_ctx(p, n)
+    outcomes = set()
+    for c in (0, *range(2, ctx.q)):
+        rep = verify_with_context(ctx, ctx.q - 2, c, n4_budget=0)
+        outcomes.add((tuple(rep.computed.omega.items()), rep.n4, dispatch_key(ctx, c)))
     calls = {"c_spectrum": 0, "dispatch": 0, "VerifyReport": 0}
     for name in calls:
         def counted(*args, _fn=getattr(verifier, name), _name=name, **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(verifier, name, counted)
-    ctx = get_ctx(p, n)
     sweep_c(ctx, ctx.q - 2, n4_budget=0)
-    frobenius, both = set(), set()
+    both = set()
     for c in range(2, ctx.q):
         orbit = frozenset(ctx.pow(c, p ** i) for i in range(n))
-        frobenius.add(orbit)
         both.add(orbit | {ctx.inv(x) for x in orbit})
-    assert calls == {"c_spectrum": 1 + len(both), "dispatch": 1 + len(frobenius),
-                     "VerifyReport": 1 + len(frobenius)}
+    assert calls == {"c_spectrum": 1 + len(both), "dispatch": len(outcomes),
+                     "VerifyReport": len(outcomes)}
+
+
+def test_sweep_reports_shared_across_orbits_stay_apart(monkeypatch):
+    """At 3^5 Frobenius orbits of one outcome share one stored report: the
+    per-c reports and documents of its c are still apart, and editing them
+    changes neither the sweep nor its bytes."""
+    ctx = get_ctx(3, 5)
+    result = sweep_c(ctx, ctx.q - 2, n4_budget=0)
+    shared = Counter(i for _, i in result.orbits)
+    i, orbit_count = shared.most_common(1)[0]
+    assert orbit_count >= 2 and len(result.outcomes) < len(result.orbits)
+    cs = [members[0] for members, j in result.orbits if j == i]
+    monkeypatch.setattr(verifier, "sweep_c", lambda *args, **kwargs: result)
+    argv = ["sweep", "--field", "3^5", "--d", "inv", "--budget-n4", "0", "--format"]
+
+    def snapshot():
+        return result.as_dict(), [_cli_out(argv + [fmt]) for fmt in ("json", "csv", "text")]
+
+    before = snapshot()
+    by_c = {r.c: r for r in result.reports}
+    by_c[cs[0]].predictions.clear()
+    by_c[cs[0]].computed.omega.clear()
+    assert all(by_c[c].predictions and by_c[c].computed.omega for c in cs[1:])
+    rows = {row["case"]["c"]: row for row in result.as_dict()["reports"]}
+    rows[cs[0]]["case"]["c"] = rows[cs[0]]["computed"]["c"] = -5
+    rows[cs[0]]["verdict"] = "EDITED"
+    assert all(rows[c]["case"]["c"] == rows[c]["computed"]["c"] == c
+               and rows[c]["verdict"] != "EDITED" for c in cs[1:])
+    rows[cs[1]]["predictions"].clear()  # shared by the document's rows of one outcome
+    assert snapshot() == before
 
 
 # ---------------------------------------------------------------------------
