@@ -5,11 +5,12 @@ base-p digits of the encoding are the coefficients of the residue
 polynomial.  A FieldContext carries dense, read-only tables, one per fact:
 exp (antilog), log and succ (x -> x + 1); in odd characteristic also the
 Zech-logarithm table Z(k) = log(1 + g^k), read by zech_sum alone: the sum
-behind vec_add/vec_sub, the spectrum and the scan sample (characteristic 2
-adds by XOR).  Every field order up to DEFAULT_ENUM_CAP gets its tables.
-The quadratic character and the trace are derived, not stored: g is a
-nonsquare, so chi(g^k) = (-1)^k, and the trace is GF(p)-linear in the
-digits.  A context is immutable; spectrum.PowerMap owns the tables of a d.
+behind vec_sub (and so vec_add), the spectrum and the scan sample
+(characteristic 2 adds by XOR).  Every field order up to DEFAULT_ENUM_CAP
+gets its tables.  The quadratic character and the trace are derived, not
+stored: g is a nonsquare, so chi(g^k) = (-1)^k, and the trace is
+GF(p)-linear in the digits.  A context is immutable; spectrum.PowerMap owns
+the tables of a d.
 
 The tables are built from GF(p)-linear maps on digit vectors.  The matrix
 of x -> a*x is a combination of powers of the modulus's companion matrix.
@@ -25,9 +26,10 @@ trace is the matrix trace of x -> a*x, so Tr(x) = sum_i x_i Tr(X^i) mod p
 over the n basis traces.  pow_table is one gather in x order,
 exp[d * log x mod (q-1)], with one remainder pass over the field.
 vec_scale adds log c - (q-1) to log x and so needs no division pass: the
-index into exp stays in [-(q-1), q-1), where a negative index wraps.  The
-polynomial routines (vec_mul_poly, _mul_scalar, _pow_scalar) and the digit
-loop of the scalar add remain as table-free references.
+index into exp stays in [-(q-1), q-1), where a negative index wraps.
+vec_mul_poly and the digit loop of the scalar add remain as table-free
+references; the table-free scalar product and powers are the polynomial
+routines (_pmul, _pmod, _ppowmod) that Ben-Or's test runs.
 
 Every table entry is below q <= 2^22 < 2^31, so the tables are int32, and
 so are the per-d tables of spectrum.PowerMap: half the memory and half the
@@ -144,25 +146,19 @@ def _linear_mapper(p: int, n: int):
     For n = 1 this is x * mat mod p.  Otherwise it is the image of the low
     h = ceil(n/2) digits plus that of the high ones: two lookup tables of
     about sqrt(q) packed digit vectors, built per matrix, and one digit-wise
-    add.  For p = 2 the packing is the encoding and the add is XOR.  For odd
-    p each digit takes a (p.bit_length() + 1)-bit lane, so one integer add
-    overflows no lane (lane sums stay below 2p), and tables over a few lanes
-    at a time reduce each lane mod p and put it at its base-p place."""
+    add.  Each digit takes a lane of (2p - 2).bit_length() bits, so one
+    integer add overflows no lane (lane sums stay at most 2p - 2), and tables
+    over a few lanes at a time reduce each lane mod p and put it at its
+    base-p place.  The widest packing, 2-bit lanes at 2^22, takes 44 bits."""
     if n == 1:  # x * mat < p^2, past 2^31 once p > 46,341: int64
         return lambda mat, x: np.asarray(x, dtype=np.int64) * int(mat[0, 0]) % p
     h = (n + 1) // 2
     split = p ** h
-    if p == 2:
-        def apply(mat, x):
-            table = _xor_tables(mat)
-            return table[:split].take(x & (split - 1)) ^ table[split:].take(x >> h)
-        return apply
-
     # digit rows of every low part (first h columns), then of every high part
     parts = np.zeros((split + p ** (n - h), n), dtype=np.int64)
     parts[:split, :h] = _digit_rows(np.arange(split), p, h)
     parts[split:, h:] = _digit_rows(np.arange(p ** (n - h)), p, n - h)
-    w = p.bit_length() + 1
+    w = (2 * p - 2).bit_length()
     weights = np.int64(1) << (w * np.arange(n, dtype=np.int64))
     # Unpacking reads g lanes at a time through a table that maps each lane
     # sum s_i < 2p to (s_i mod p) at its base-p place.
@@ -467,11 +463,6 @@ class FieldContext:
             return 0
         return self.exp.item((self.log.item(a) + self.log.item(b)) % (self.q - 1))
 
-    def _mul_scalar(self, a: int, b: int) -> int:
-        p, n = self.p, self.n
-        prod = _pmul(decode_digits(a, p, n), decode_digits(b, p, n), p)
-        return encode_digits(_pmod(prod, self.modulus, p), p)
-
     def inv(self, a: int) -> int:
         return self.pow(a, -1)
 
@@ -484,16 +475,6 @@ class FieldContext:
             return 0
         e %= self.q - 1
         return self.exp.item(self.log.item(a) * e % (self.q - 1))  # Python ints: no wrap
-
-    def _pow_scalar(self, a: int, e: int) -> int:
-        result = 1
-        acc = a
-        while e > 0:
-            if e & 1:
-                result = self._mul_scalar(result, acc)
-            acc = self._mul_scalar(acc, acc)
-            e >>= 1
-        return result
 
     def trace(self, x: int) -> int:
         """Absolute trace x + x^p + ... + x^(p^(n-1)), a prime-field value."""
@@ -520,32 +501,27 @@ class FieldContext:
         return np.where(arr == 0, 0, 1 - 2 * (self.log[arr] & 1))
 
     def vec_add(self, a, b):
-        """a + b elementwise, with broadcasting."""
-        if self.p == 2:
-            return np.bitwise_xor(a, b)
-        return self._zech_add(a, b, 0)
+        """a + b elementwise, with broadcasting: a - (-1) * b."""
+        return self.vec_sub(a, self.vec_scale(b, self.neg_one))
 
     def vec_sub(self, a, b):
-        """a - b elementwise, with broadcasting."""
+        """a - b elementwise, with broadcasting.  In odd characteristic
+        a - b = a * (1 + (-b)/a), by zech_sum at log a and
+        log(-b/a) = log b + (q-1)/2 - log a, as -1 = g^((q-1)/2)."""
         if self.p == 2:
             return np.bitwise_xor(a, b)
-        return self._zech_add(a, b, (self.q - 1) // 2)  # -1 = g^((q-1)/2)
-
-    def _zech_add(self, a, b, b_shift: int) -> np.ndarray:
-        """a + g^b_shift * b in odd characteristic: a + b' = a * (1 + b'/a),
-        by zech_sum at log a and log(b'/a) = log b + b_shift - log a."""
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         shape = np.broadcast_shapes(a.shape, b.shape)
         a, b = np.broadcast_arrays(np.atleast_1d(a), np.atleast_1d(b))
         order = self.q - 1
         la = self.log[a]  # -1 at a = 0, which zech_sum also takes
-        lb = np.add(self.log[b], b_shift, dtype=np.int64)
+        lb = np.add(self.log[b], order // 2, dtype=np.int64)  # log(-b)
         t = lb - la
-        t[t >= order] -= order  # into [-(q-1), q-1), as b_shift <= (q-1)/2
+        t[t >= order] -= order  # into [-(q-1), q-1)
         out = self.zech_sum(la, t)
         a_zero = a == 0
-        out[a_zero] = self.exp[lb[a_zero] % order]  # b' alone
+        out[a_zero] = self.exp[lb[a_zero] % order]  # -b alone
         b_zero = b == 0
         out[b_zero] = a[b_zero]
         return out.reshape(shape)

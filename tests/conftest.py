@@ -1,6 +1,7 @@
 import math
 
 from cdspec import FieldSpec, build_context
+from cdspec.field import _pmod, _pmul, _ppowmod, decode_digits, encode_digits
 
 _CTX_CACHE = {}
 
@@ -11,6 +12,18 @@ def get_ctx(p, n, modulus=None):
     if key not in _CTX_CACHE:
         _CTX_CACHE[key] = build_context(FieldSpec(p, n, modulus))
     return _CTX_CACHE[key]
+
+
+def poly_mul(ctx, a, b):
+    """a * b in ctx by polynomial arithmetic mod its modulus, table-free."""
+    p, n = ctx.p, ctx.n
+    prod = _pmul(decode_digits(a, p, n), decode_digits(b, p, n), p)
+    return encode_digits(_pmod(prod, ctx.modulus, p), p)
+
+
+def poly_pow(ctx, a, e):
+    """a^e in ctx for e >= 0 by polynomial square-and-multiply, table-free."""
+    return encode_digits(_ppowmod(decode_digits(a, ctx.p, ctx.n), e, ctx.modulus, ctx.p), ctx.p)
 
 
 def is_prime_trial(m):

@@ -3,9 +3,10 @@
 The tables are built from GF(p)-linear maps (matrix generator search,
 doubling exp table); the trace and the quadratic character are derived from
 the basis traces and the parity of log.  The references below are written
-out here: the generator from the order test on _pow_scalar, the exp table by
-baby/giant steps through vec_mul_poly, chi from the set of squares, and the
-trace as a sum of Frobenius iterates.
+out here: the generator from the order test on polynomial powers (_ppowmod,
+through conftest.poly_pow), the exp table by baby/giant steps through
+vec_mul_poly, chi from the set of squares, and the trace as a sum of
+Frobenius iterates.
 """
 
 import math
@@ -16,6 +17,8 @@ import pytest
 from cdspec import FieldSpec, build_context, find_irreducible
 from cdspec.field import is_prime, prime_factors
 from cdspec.verifier import SplitMix64
+
+from conftest import poly_mul, poly_pow
 
 # Every field with n >= 2 and q <= 2^12, and every GF(p) with p <= 600.
 EXTENSION_FIELDS = [(p, n) for p in range(2, 65) if is_prime(p)
@@ -30,7 +33,7 @@ def _reference_generator(ctx):
     order = ctx.q - 1
     factors = prime_factors(order) if ctx.q > 2 else []
     for cand in range(1, ctx.q):
-        if all(ctx._pow_scalar(cand, order // r) != 1 for r in factors):
+        if all(poly_pow(ctx, cand, order // r) != 1 for r in factors):
             return cand
     raise AssertionError("no generator")
 
@@ -42,11 +45,11 @@ def _reference_exp(ctx, g):
     block = math.isqrt(order) + 1
     baby = [1]
     for _ in range(block - 1):
-        baby.append(ctx._mul_scalar(baby[-1], g))
-    giant_step = ctx._mul_scalar(baby[-1], g)
+        baby.append(poly_mul(ctx, baby[-1], g))
+    giant_step = poly_mul(ctx, baby[-1], g)
     giant = [1]
     for _ in range(-(-order // block) - 1):
-        giant.append(ctx._mul_scalar(giant[-1], giant_step))
+        giant.append(poly_mul(ctx, giant[-1], giant_step))
     idx = np.arange(order, dtype=np.int64)
     return ctx.vec_mul_poly(np.array(giant)[idx // block], np.array(baby)[idx % block])
 
@@ -85,7 +88,7 @@ def _reference_tables(ctx, g):
 def _frobenius_trace(ctx, x):
     acc = 0
     for i in range(ctx.n):
-        acc = ctx.add(acc, ctx._pow_scalar(x, ctx.p ** i))
+        acc = ctx.add(acc, poly_pow(ctx, x, ctx.p ** i))
     return acc
 
 
@@ -132,11 +135,11 @@ def test_construction_matches_polynomial_path_other_modulus(p, n):
 def test_construction_spot_check_large(p, n):
     ctx = build_context(FieldSpec(p, n))
     g = ctx.generator
-    assert all(ctx._pow_scalar(g, (ctx.q - 1) // r) != 1 for r in prime_factors(ctx.q - 1))
-    assert all(any(ctx._pow_scalar(a, (ctx.q - 1) // r) == 1 for r in prime_factors(ctx.q - 1))
+    assert all(poly_pow(ctx, g, (ctx.q - 1) // r) != 1 for r in prime_factors(ctx.q - 1))
+    assert all(any(poly_pow(ctx, a, (ctx.q - 1) // r) == 1 for r in prime_factors(ctx.q - 1))
                for a in range(1, g))
     rng = SplitMix64(p ** n)
     for k in [0, ctx.q - 3] + [rng.below(ctx.q - 2) for _ in range(40)]:
-        assert int(ctx.exp[k + 1]) == ctx._mul_scalar(int(ctx.exp[k]), g)
+        assert int(ctx.exp[k + 1]) == poly_mul(ctx, int(ctx.exp[k]), g)
     for x in [1, g, ctx.q - 1] + [rng.below(ctx.q) for _ in range(20)]:
         assert ctx.trace(x) == _frobenius_trace(ctx, x)

@@ -32,10 +32,18 @@ from cdspec import (
     sweep_c,
     verify_with_context,
 )
-from cdspec.field import DEFAULT_ENUM_CAP, _pmod, is_irreducible, is_prime, prime_factors
+from cdspec.field import (
+    DEFAULT_ENUM_CAP,
+    _linear_mapper,
+    _pmod,
+    _xor_tables,
+    is_irreducible,
+    is_prime,
+    prime_factors,
+)
 from cdspec.verifier import SplitMix64
 
-from conftest import get_ctx, is_prime_trial, odd_fields
+from conftest import get_ctx, is_prime_trial, odd_fields, poly_mul, poly_pow
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +208,7 @@ def test_exp_steps_by_the_generator_on_every_small_field():
         ctx = build_context(FieldSpec(p, n))
         g = ctx.generator
         exp = ctx.exp.tolist()
-        assert [ctx._mul_scalar(x, g) for x in exp] == exp[1:] + exp[:1], (p, n)
+        assert [poly_mul(ctx, x, g) for x in exp] == exp[1:] + exp[:1], (p, n)
 
 
 def test_parse_field_spec():
@@ -283,11 +291,11 @@ def test_scalar_arithmetic_where_log_times_exponent_passes_int32(p, n):
     assert int(ctx.log[elems[0]]) * (q - 2) >= 2 ** 31
     for a in elems:
         for e in exps:
-            assert ctx.pow(a, e) == ctx._pow_scalar(a, e % order), (p, n, a, e)
+            assert ctx.pow(a, e) == poly_pow(ctx, a, e % order), (p, n, a, e)
         inv = ctx.inv(a)
-        assert inv == ctx._pow_scalar(a, q - 2) and ctx._mul_scalar(a, inv) == 1, (p, n, a)
+        assert inv == poly_pow(ctx, a, q - 2) and poly_mul(ctx, a, inv) == 1, (p, n, a)
         b = 2 + rng.below(q - 2)
-        assert ctx.mul(a, b) == ctx._mul_scalar(a, b), (p, n, a, b)
+        assert ctx.mul(a, b) == poly_mul(ctx, a, b), (p, n, a, b)
 
 
 @pytest.mark.parametrize("p", [65537, 4194301])
@@ -309,7 +317,10 @@ def test_log_antilog_roundtrip():
 
 
 def test_zech_vec_add_sub_match_scalar_on_every_pair():
-    for p, n in odd_fields(0, 243):
+    """vec_add and vec_sub against the scalar digit loop on every pair, in odd
+    characteristic by zech_sum and in characteristic 2 by XOR, where vec_add
+    first scales b by -1 = 1."""
+    for p, n in odd_fields(0, 243) + [(2, n) for n in range(1, 8)]:
         ctx = get_ctx(p, n)
         q = ctx.q
         X = np.arange(q, dtype=np.int64)
@@ -329,6 +340,43 @@ def test_zech_vec_add_sub_match_scalar_on_every_pair():
             assert np.array_equal(ctx.vec_sub(X, np.int64(k)), sub[:, k])
             assert ctx.vec_sub(np.int64(k), np.int64(1)).shape == ()
             assert int(ctx.vec_sub(np.int64(k), np.int64(1))) == sub[k, 1]
+            assert ctx.vec_add(np.int64(k), np.int64(1)).shape == ()
+            assert int(ctx.vec_add(np.int64(k), np.int64(1))) == add[k, 1]
+
+
+def _xor_mapper(mat, x):
+    """The characteristic-2 digit map as the XOR of the images of the low
+    h = ceil(n/2) bits and of the high ones, through _xor_tables."""
+    n = len(mat)
+    h = (n + 1) // 2
+    split = 1 << h
+    table = _xor_tables(mat)
+    return table[:split].take(x & (split - 1)) ^ table[split:].take(x >> h)
+
+
+def test_linear_mapper_matches_xor_tables_in_characteristic_2():
+    """The lane-packed map at p = 2 equals the XOR of _xor_tables' images:
+    on every x for n <= 16, with seeded random matrices, the all-ones matrix
+    (every lane sum reaches 2) and the Hankel matrix Tr(X^(i+j)) of
+    PowerMap.n4_pairs; and on a seeded sample of x up to n = 22, the widest
+    packing."""
+    rng = np.random.default_rng(2)
+    for n in range(2, 23):
+        q = 1 << n
+        mats = [rng.integers(0, 2, (n, n)) for _ in range(3)] + [np.ones((n, n), dtype=np.int64)]
+        if n > 16:
+            x = np.concatenate([[0, 1, q - 1], rng.integers(0, q, 1 << 16)])
+        else:
+            x = np.arange(q, dtype=np.int64)
+            ctx = get_ctx(2, n)
+            x_pows = [1]  # X^k for k <= 2n - 2
+            for _ in range(2 * n - 2):
+                x_pows.append(ctx.mul(x_pows[-1], 2))
+            traces = np.array([ctx.trace(v) for v in x_pows], dtype=np.int64)
+            mats.append(traces[np.add.outer(np.arange(n), np.arange(n))])
+        apply = _linear_mapper(2, n)
+        for mat in mats:
+            assert np.array_equal(apply(mat, x), _xor_mapper(mat, x)), n
 
 
 def _race(worker, args_per_thread):
@@ -466,19 +514,19 @@ def test_tables_match_polynomial_arithmetic():
         q = ctx.q
         X = np.arange(q, dtype=np.int64)
         for a in range(q):
-            row = [ctx._mul_scalar(a, b) for b in range(q)]
+            row = [poly_mul(ctx, a, b) for b in range(q)]
             assert [ctx.mul(a, b) for b in range(q)] == row
             assert ctx.vec_scale(X, a).tolist() == row  # a = 0 and a = 1 included
             if a:
-                assert ctx.inv(a) == ctx._pow_scalar(a, q - 2)
+                assert ctx.inv(a) == poly_pow(ctx, a, q - 2)
             for e in (0, 1, 2, p, q - 2, q - 1, q, 2 * q + 3):
-                assert ctx.pow(a, e) == ctx._pow_scalar(a, e)
+                assert ctx.pow(a, e) == poly_pow(ctx, a, e)
             frobenius_sum = a
             for i in range(1, n):
-                frobenius_sum = ctx.add(frobenius_sum, ctx._pow_scalar(a, p ** i))
+                frobenius_sum = ctx.add(frobenius_sum, poly_pow(ctx, a, p ** i))
             assert ctx.trace(a) == frobenius_sum
             if p != 2:
-                euler = ctx._pow_scalar(a, (q - 1) // 2)
+                euler = poly_pow(ctx, a, (q - 1) // 2)
                 assert ctx.chi(a) == (0 if a == 0 else 1 if euler == 1 else -1)
 
 

@@ -23,7 +23,7 @@ from cdspec import spectrum
 from cdspec.spectrum import CDiffSpectrum, DeltaSample, cyclotomic_classes, uniformity_label
 from cdspec.verifier import SplitMix64, _scan_sample
 
-from conftest import get_ctx, is_prime_trial, odd_fields
+from conftest import get_ctx, is_prime_trial, odd_fields, poly_mul, poly_pow
 
 
 def _delta_count_scalar(ctx, d, c, b):
@@ -427,10 +427,10 @@ def test_delta_values_match_table_free_oracles(p, n):
     tables = [ctx.exp, ctx.log, ctx.succ] + ([] if p == 2 else [ctx.zech])
     for d in ds:
         power = PowerMap(ctx, d)
-        v = {x: ctx._pow_scalar(x, d) for x in set(xs) | {ctx.add(x, 1) for x in xs}}
+        v = {x: poly_pow(ctx, x, d) for x in set(xs) | {ctx.add(x, 1) for x in xs}}
         for c in cs:
             got = PowerMapCase(power, c).delta_values()[xs]
-            want = [ctx.sub(v[ctx.add(x, 1)], ctx._mul_scalar(c, v[x])) for x in xs]
+            want = [ctx.sub(v[ctx.add(x, 1)], poly_mul(ctx, c, v[x])) for x in xs]
             assert got.tolist() == want, (p, n, d, c)
         tables += [power.powd, *power.delta_pair]
     for table in tables:
