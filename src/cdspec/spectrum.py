@@ -15,8 +15,11 @@ The quadruple count N4 of the second identity has two exact paths.
 n4_fourier, which the verifier runs, sums products of additive-character
 transforms over GF(p)^n: O(q*n*p) work per d and prime l = 1 (mod p), with
 one prime when q <= 625 and a few up to the context cap, and O(q) per c.
-It reads x^d, the trace and c*x alone, never the spectrum.  n4_bruteforce
-enumerates the quadruples in O(q^2) and is kept as its reference.
+It reads x^d, the trace and c*x alone, never the spectrum.  What it reads of
+the field alone (L(w), -w and the weights zeta^Tr(w)) is one read-only
+_N4Field per context, built on first use and dropped with the context, so
+every d of a field shares it.  n4_bruteforce enumerates the quadruples in
+O(q^2) and is kept as its reference.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import weakref
 from dataclasses import dataclass, field as _field
 from typing import Iterator, Optional
 
@@ -120,31 +124,28 @@ class PowerMap:
 
     @functools.cached_property
     def n4_pairs(self) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
-        """(l, S1(w) S1(eps*w) mod l, S0(v) S0(-v) mod l) per prime l of n4_fourier."""
-        ctx = self.ctx
-        powd = self.powd.astype(np.intp)  # an index below
-        p, n, q = ctx.p, ctx.n, ctx.q
-        w = np.arange(q, dtype=np.int64)
-        x_pows = [1]  # X^k for k <= 2n - 2; X has encoding p when n > 1
-        for _ in range(2 * n - 2):
-            x_pows.append(ctx.mul(x_pows[-1], p))
-        traces = np.array([ctx.trace(v) for v in x_pows], dtype=np.int64)
-        hankel = traces[np.add.outer(np.arange(n), np.arange(n))]  # Tr(X^(i+j))
-        lw = _mapper(p, n)(hankel, w)  # encoding of L(w)
-        trace = lw % p  # digit 0 of L(w) is Tr(w)
-        neg = ctx.vec_scale(w, ctx.neg_one)
-        eps_w = neg if self.d % 2 == 0 else w
+        """(l, S1(w) S1(eps*w) mod l, S0(v) S0(-v) mod l) per prime l of
+        n4_fourier.  Of these, g, h and their transforms depend on d; the
+        rest is read from the field's _N4Field.
+
+        g(y) = sum_{x^d = y} psi(x) is a float64 weighted bincount, and it is
+        exact: a bin sums at most q <= 2^22 residues below l < 2^28, so every
+        partial sum is an integer below 2^50 < 2^53."""
+        fld = _n4_field(self.ctx)
+        q, n = self.ctx.q, self.ctx.n
+        powd = self.powd.astype(np.intp)  # an index, read twice
         h = np.bincount(powd, minlength=q)
         out = []
-        for ell, zeta in _fourier_moduli(p, q ** 3):
-            zp = np.array([pow(zeta, k, ell) for k in range(p)], dtype=np.int64)
-            g = np.zeros(q, dtype=np.int64)
-            np.add.at(g, powd, zp[trace])  # a bin sums at most q residues: < 2^50
-            gh = np.stack([g % ell, h % ell])
+        for ell, zp, psi in fld.moduli:
+            gh = np.empty((2, q), dtype=np.int64)
+            gh[0] = np.bincount(powd, weights=psi, minlength=q)  # exact integers
+            gh[1] = h
+            gh %= ell
             for _ in range(n):  # after n steps every digit is back in place
                 gh = _transform_leading_digit(gh, zp, ell)
-            s1, s0 = gh[:, lw]
-            out.append((ell, _frozen(s1 * s1[eps_w] % ell), _frozen(s0 * s0[neg] % ell)))
+            s1, s0 = gh[:, fld.lw]
+            s1_eps = s1[fld.neg] if self.d % 2 == 0 else s1
+            out.append((ell, _frozen(s1 * s1_eps % ell), _frozen(s0 * s0[fld.neg] % ell)))
         return tuple(out)
 
 
@@ -412,19 +413,27 @@ def _is_prime_mr(m: int) -> bool:
 
 
 @functools.lru_cache(maxsize=64)
+def _fourier_modulus(p: int, i: int) -> tuple[int, int]:
+    """(l, zeta) for the i-th largest prime l = 1 (mod p) under the int64
+    limit; zeta has order p in GF(l).  Cached per (p, i), not per bound, so
+    every field of one characteristic shares the search."""
+    if i == 0:
+        top = min(_ELL_MAX, math.isqrt((2 ** 63 - 1) // p))  # p * l^2 < 2^63
+        ell = top - (top - 1) % p  # the largest l <= top with l = 1 (mod p)
+    else:
+        ell = _fourier_modulus(p, i - 1)[0] - p
+    while not _is_prime_mr(ell):
+        ell -= p
+    return ell, next(z for z in (pow(a, (ell - 1) // p, ell) for a in range(2, ell)) if z != 1)
+
+
 def _fourier_moduli(p: int, bound: int) -> tuple[tuple[int, int], ...]:
-    """(l, zeta) for the largest primes l = 1 (mod p) under the int64
-    limit, descending, until their product exceeds bound; zeta has order p
-    in GF(l)."""
-    top = min(_ELL_MAX, math.isqrt((2 ** 63 - 1) // p))  # p * l^2 < 2^63
-    ell = top - (top - 1) % p  # the largest l <= top with l = 1 (mod p)
+    """The (l, zeta) of _fourier_modulus(p, i) for i = 0, 1, ..., descending
+    in l, until the product of the l exceeds bound."""
     out, prod = [], 1
     while prod <= bound:
-        if _is_prime_mr(ell):
-            zeta = next(z for z in (pow(a, (ell - 1) // p, ell) for a in range(2, ell)) if z != 1)
-            out.append((ell, zeta))
-            prod *= ell
-        ell -= p
+        out.append(_fourier_modulus(p, len(out)))
+        prod *= out[-1][0]
     return tuple(out)
 
 
@@ -475,6 +484,43 @@ def _dft_index(p: int, lo: int, rows: int) -> np.ndarray:
 
 # Every digit step, prime l and d of a field reads the same blocks: keep a few.
 _dft_block = functools.lru_cache(maxsize=8)(_dft_index)
+
+
+class _N4Field:
+    """What PowerMap.n4_pairs reads of the field alone, read-only: the
+    encodings lw of L(w) and neg of -w for every w, and per prime l of
+    _fourier_moduli (l, zp, psi), with zp[k] = zeta^k mod l and the weights
+    psi = zp[Tr(w)] as float64.  It keeps no reference to its context."""
+
+    def __init__(self, ctx: FieldContext):
+        p, n, q = ctx.p, ctx.n, ctx.q
+        w = np.arange(q, dtype=np.int64)
+        x_pows = [1]  # X^k for k <= 2n - 2; X has encoding p when n > 1
+        for _ in range(2 * n - 2):
+            x_pows.append(ctx.mul(x_pows[-1], p))
+        traces = np.array([ctx.trace(v) for v in x_pows], dtype=np.int64)
+        hankel = traces[np.add.outer(np.arange(n), np.arange(n))]  # Tr(X^(i+j))
+        self.lw = _frozen(_mapper(p, n)(hankel, w))  # encoding of L(w)
+        self.neg = _frozen(ctx.vec_scale(w, ctx.neg_one))
+        trace = self.lw % p  # digit 0 of L(w) is Tr(w)
+        moduli = []
+        for ell, zeta in _fourier_moduli(p, q ** 3):
+            zp = np.array([pow(zeta, k, ell) for k in range(p)], dtype=np.int64)
+            moduli.append((ell, _frozen(zp), _frozen(zp.astype(np.float64).take(trace))))
+        self.moduli = tuple(moduli)
+
+
+# One _N4Field per live context, dropped with it: a strong cache would keep
+# q-sized arrays alive for every field it has seen.
+_n4_fields: "weakref.WeakKeyDictionary[FieldContext, _N4Field]" = weakref.WeakKeyDictionary()
+
+
+def _n4_field(ctx: FieldContext) -> _N4Field:
+    """ctx's _N4Field, built on first use.  Two threads that ask first at
+    the same time may each build one; they are equal, and both keep the one
+    stored first."""
+    fld = _n4_fields.get(ctx)
+    return fld if fld is not None else _n4_fields.setdefault(ctx, _N4Field(ctx))
 
 
 def n4_fourier(case: PowerMapCase, budget: int = DEFAULT_N4_BUDGET) -> int:

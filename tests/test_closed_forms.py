@@ -20,6 +20,7 @@ from cdspec import (
     predict_pk1_half,
 )
 from cdspec.closed_forms import TheoremId, dispatch_key
+from cdspec.spectrum import normalize_exponent
 
 from conftest import get_ctx, odd_fields
 
@@ -280,3 +281,62 @@ def test_dispatch_key_matches_the_field_expressions(p, n):
         for key, cs in by_key.items():
             docs = {c: [pr.as_dict() for pr in dispatch(power, c)] for c in cs}
             assert all(doc == docs[cs[0]] for doc in docs.values()), (d, key)
+
+
+def _reference_dispatch_key(ctx, c):
+    """dispatch_key as it was when dispatch read the whole key on every call."""
+    p, chi = ctx.p, ctx.chi
+    if p == 2:
+        return (c,) if c < 2 else (None, ctx.trace(c), ctx.trace(ctx.inv(c)))
+    four, quarter = 4 % p, pow(4, -1, p)
+    base, chi_c = c - c % p, chi(c)
+    return (c if c in (0, 1, four, quarter, p - 1) else None,
+            chi_c * chi(base + (c - four) % p), chi(p - 1) * chi(base + (c - quarter) % p), chi_c)
+
+
+def _reference_dispatch(power, c):
+    """dispatch as it was when it read the whole key on every call."""
+    ctx, dn = power.ctx, power.d
+    p, n, q = ctx.p, ctx.n, ctx.q
+    const, *values = _reference_dispatch_key(ctx, c)
+
+    def matches(e):
+        return normalize_exponent(e, q) in power.members
+
+    preds = []
+    if const not in (0, 1) and matches(q - 2):
+        if p == 2:
+            preds.append(predict_inverse_char2(n, *values))
+        elif const not in (4 % p, pow(4, -1, p)):
+            preds.append(predict_inverse_odd(q, *values))
+    if p > 2 and const == ctx.neg_one:
+        if p == 3 and n >= 2:
+            if n % 2 == 0 and matches((q + 3) // 2):
+                preds.append(predict_3n_plus3_half(n))
+            if matches(q - 3):
+                preds.append(predict_3n_minus3(n))
+        if p % 4 == 1 or (p % 4 == 3 and p > 7):
+            ks = [k for k in range(1, 2 * n + 1, 2)
+                  if math.gcd(n, k) == 1 and matches((p ** k + 1) // 2)]
+            if ks:
+                k = min(ks, key=lambda k: normalize_exponent((p ** k + 1) // 2, q) != dn)
+                preds.append(predict_pk1_half(p, n, k))
+        if p == 5 and matches((q - 3) // 2):
+            preds.append(predict_5n_minus3_half(n))
+    return preds
+
+
+_DISPATCH_FIELDS = [(2, n) for n in range(1, 8)] + odd_fields(1, 243)
+
+
+@pytest.mark.parametrize("p,n", _DISPATCH_FIELDS, ids=[f"{p}^{n}" for p, n in _DISPATCH_FIELDS])
+def test_dispatch_equals_the_whole_key_reference_at_every_d_and_c(p, n):
+    """dispatch computes the traces or characters only when d matches q - 2;
+    it returns what the reference returns, and dispatch_key is unchanged."""
+    ctx = get_ctx(p, n)
+    for c in range(ctx.q):
+        assert dispatch_key(ctx, c) == _reference_dispatch_key(ctx, c), c
+    for d in range(1, ctx.q):
+        power = PowerMap(ctx, d)
+        for c in range(ctx.q):
+            assert dispatch(power, c) == _reference_dispatch(power, c), (d, c)

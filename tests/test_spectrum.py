@@ -1,4 +1,9 @@
+import concurrent.futures
+import gc
 import math
+import sys
+import threading
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -559,6 +564,146 @@ def test_eq2_beyond_the_bruteforce_budget(p, n):
             case = PowerMapCase(PowerMap(ctx, d), c)
             n4 = n4_fourier(case, budget=q)
             assert check_identities(c_spectrum(case), n4).eq2_ok, (p, n, d, c)
+
+
+def test_n4_field_is_built_once_per_context_and_read_only(monkeypatch):
+    """Every PowerMap of one context reads one _N4Field, built on first use
+    and kept off the context; another context of the same field builds its
+    own."""
+    built = []
+    real = spectrum._N4Field
+
+    def counting(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    monkeypatch.setattr(spectrum, "_N4Field", counting)
+    ctx = build_context(FieldSpec(3, 5))
+    before = dict(vars(ctx))
+    for d in (ctx.q - 2, 2, 7, 11, 121):
+        PowerMap(ctx, d).n4_pairs
+    assert len(built) == 1 and spectrum._n4_field(ctx) is built[0]
+    assert vars(ctx).keys() == before.keys()
+    assert all(vars(ctx)[k] is v for k, v in before.items())  # no ndarray added or rebound
+    fld = built[0]
+    w = np.arange(ctx.q)
+    assert (fld.neg == [ctx.neg(int(x)) for x in w]).all()
+    traces = np.array([ctx.trace(int(x)) for x in w])
+    for ell, zp, psi in fld.moduli:
+        assert psi.dtype == np.float64 and (psi == zp[traces]).all(), ell
+    for arr in (fld.lw, fld.neg, *(a for _, zp, psi in fld.moduli for a in (zp, psi))):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    other = build_context(FieldSpec(3, 5))
+    PowerMap(other, 5).n4_pairs
+    assert len(built) == 2 and spectrum._n4_field(other) is built[1]
+
+
+def test_n4_field_is_dropped_with_its_context():
+    ctx = build_context(FieldSpec(3, 4))
+    power = PowerMap(ctx, 5)
+    n4_fourier(PowerMapCase(power, 2))
+    ref = weakref.ref(spectrum._n4_field(ctx))
+    assert ref() is not None
+    del ctx, power
+    gc.collect()
+    assert ref() is None
+
+
+def test_n4_field_follows_the_modulus():
+    """Two contexts of 3^4 under different moduli, called in turn, each
+    count what enumeration counts."""
+    ctxs = [build_context(FieldSpec(3, 4, find_irreducible(3, 4, i))) for i in (0, 3)]
+    assert ctxs[0].modulus != ctxs[1].modulus
+    assert not (spectrum._n4_field(ctxs[0]).lw == spectrum._n4_field(ctxs[1]).lw).all()
+    for d in (2, 5, 7, 10, 79):
+        for c in (0, 2, 5, 80):
+            for ctx in ctxs:
+                case = PowerMapCase(PowerMap(ctx, d), c)
+                assert n4_fourier(case) == n4_bruteforce(case), (ctx.modulus, d, c)
+
+
+@pytest.mark.parametrize("p,n", [(3, 5), (2, 8), (7, 3)], ids=["3^5", "2^8", "7^3"])
+def test_n4_fourier_first_read_from_threads(p, n):
+    """Four threads, more than the cores, that first read n4_fourier on one
+    fresh context at once, each for its own d, count what a serial run and
+    enumeration count, with thread switches forced often.  Before Python
+    3.12, cached_property serialises first reads, so each thread also asks
+    for the field's _N4Field itself, which no lock guards."""
+    q = p ** n
+    cases = [(q - 2, 2), (6, q - 1), (5, 3), (q - 1, 0)]
+    serial = build_context(FieldSpec(p, n))
+    want = [n4_fourier(PowerMapCase(PowerMap(serial, d), c)) for d, c in cases]
+    assert want == [n4_bruteforce(PowerMapCase(PowerMap(serial, d), c)) for d, c in cases]
+    ref = spectrum._n4_field(serial)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            ctx = build_context(FieldSpec(p, n))
+            start = threading.Barrier(len(cases), timeout=30)
+
+            def first_read(d, c):
+                start.wait()
+                fld = spectrum._n4_field(ctx)
+                return n4_fourier(PowerMapCase(PowerMap(ctx, d), c)), fld
+
+            with concurrent.futures.ThreadPoolExecutor(max_workers=len(cases)) as pool:
+                got, flds = zip(*pool.map(first_read, *zip(*cases), timeout=60))
+            assert list(got) == want
+            for fld in flds:
+                assert (fld.lw == ref.lw).all() and (fld.neg == ref.neg).all()
+                assert [(ell, zp.tolist(), psi.tolist()) for ell, zp, psi in fld.moduli] == \
+                    [(ell, zp.tolist(), psi.tolist()) for ell, zp, psi in ref.moduli]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _n4_pairs_reference(power):
+    """n4_pairs with every field-only array built per d and g summed by
+    np.add.at, as before the field's part was shared."""
+    ctx = power.ctx
+    powd = power.powd.astype(np.intp)
+    p, n, q = ctx.p, ctx.n, ctx.q
+    w = np.arange(q, dtype=np.int64)
+    x_pows = [1]
+    for _ in range(2 * n - 2):
+        x_pows.append(ctx.mul(x_pows[-1], p))
+    traces = np.array([ctx.trace(v) for v in x_pows], dtype=np.int64)
+    hankel = traces[np.add.outer(np.arange(n), np.arange(n))]
+    lw = spectrum._mapper(p, n)(hankel, w)
+    trace = lw % p
+    neg = ctx.vec_scale(w, ctx.neg_one)
+    eps_w = neg if power.d % 2 == 0 else w
+    h = np.bincount(powd, minlength=q)
+    out = []
+    for ell, zeta in spectrum._fourier_moduli(p, q ** 3):
+        zp = np.array([pow(zeta, k, ell) for k in range(p)], dtype=np.int64)
+        g = np.zeros(q, dtype=np.int64)
+        np.add.at(g, powd, zp[trace])
+        gh = np.stack([g % ell, h % ell])
+        for _ in range(n):
+            gh = spectrum._transform_leading_digit(gh, zp, ell)
+        s1, s0 = gh[:, lw]
+        out.append((ell, s1 * s1[eps_w] % ell, s0 * s0[neg] % ell))
+    return out
+
+
+@pytest.mark.parametrize("p,n", [(3, 10), (2, 16)], ids=["3^10", "2^16"])
+def test_n4_pairs_match_the_per_d_reference_at_large_q(p, n):
+    ctx = get_ctx(p, n)
+    q = ctx.q
+    rng = SplitMix64(53)
+    for d, c in [(q - 2, 3), (2 * (1 + rng.below(q // 2 - 1)), 2 + rng.below(q - 2)),
+                 (1 + rng.below(q - 2), 2 + rng.below(q - 2))]:
+        power = PowerMap(ctx, d)
+        want = _n4_pairs_reference(power)
+        assert len(power.n4_pairs) == len(want) > 1
+        for (ell, pair1, pair0), (ell_r, pair1_r, pair0_r) in zip(power.n4_pairs, want):
+            assert ell == ell_r and (pair1 == pair1_r).all() and (pair0 == pair0_r).all(), (d, ell)
+        case = PowerMapCase(power, c)
+        assert check_identities(c_spectrum(case), n4_fourier(case, budget=q)).eq2_ok, (d, c)
 
 
 # ---------------------------------------------------------------------------
