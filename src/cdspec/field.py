@@ -46,6 +46,7 @@ need no conversion.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -74,10 +75,31 @@ _UNPACK_BITS = 12  # packed bits per unpacking lookup (4096-entry tables)
 # Integer helpers
 # ---------------------------------------------------------------------------
 
+_MR_BASES = (2, 3, 5, 7, 11)
+
+
 def is_prime(m: int) -> bool:
-    """Primality by trial division.  build_context rejects q > 2^22 before
-    it asks, so m <= 2^22 there and at most about 1,000 divisors are tried."""
-    return m >= 2 and prime_factors(m) == [m]
+    """Miller-Rabin on _MR_BASES, exact below 2,152,302,898,747 (Jaeschke,
+    Math. Comp. 61, 1993): past every p <= 2^22 and every l < 2^28 of N4."""
+    if m < 2:
+        return False
+    for b in _MR_BASES:
+        if m % b == 0:
+            return m == b
+    s, t = 0, m - 1
+    while t % 2 == 0:
+        s, t = s + 1, t // 2
+    for b in _MR_BASES:
+        x = pow(b, t, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def prime_factors(m: int) -> list[int]:
@@ -140,8 +162,10 @@ def _xor_tables(mat: np.ndarray) -> np.ndarray:
     return np.concatenate([_xor_span(images[:h]), _xor_span(images[h:])])
 
 
+@functools.lru_cache(maxsize=64)
 def _linear_mapper(p: int, n: int):
-    """apply(mat, x): the encodings of digits(x) @ mat over GF(p).
+    """apply(mat, x): the encodings of digits(x) @ mat over GF(p), cached per
+    (p, n): the odd antilog build and N4's map L(w) share one per field.
 
     For n = 1 this is x * mat mod p.  Otherwise it is the image of the low
     h = ceil(n/2) digits plus that of the high ones: two lookup tables of
@@ -618,8 +642,8 @@ def build_context(spec: FieldSpec) -> FieldContext:
     if spec.n < 1:
         raise ParseError(f"degree must be >= 1, got {spec.n}")
     # The size cap comes before the primality test and before q - 1 is
-    # factored, and 2^n > cap already once n reaches its bit length, so a
-    # huge p or n is rejected at once.
+    # factored by trial division, and 2^n > cap already once n reaches its
+    # bit length, so a huge p or n is rejected at once.
     if spec.n >= DEFAULT_ENUM_CAP.bit_length() or spec.p ** spec.n > DEFAULT_ENUM_CAP:
         raise FieldTooLarge(f"q = {spec.p}^{spec.n} exceeds enumeration cap {DEFAULT_ENUM_CAP}")
     if not is_prime(spec.p):

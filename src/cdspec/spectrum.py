@@ -34,7 +34,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import BudgetExceeded
-from .field import FieldContext, _frozen, _linear_mapper
+from .field import FieldContext, _frozen, _linear_mapper, is_prime
 
 DEFAULT_N4_BUDGET = 625
 
@@ -49,21 +49,6 @@ def normalize_exponent(d: int, q: int) -> int:
         raise ValueError(f"exponent must be positive, got {d}")
     r = d % (q - 1)
     return q - 1 if r == 0 else r
-
-
-def cyclotomic_class(p: int, q: int, d: int) -> list[int]:
-    """The orbit of d under multiplication by p mod (q-1), ascending.
-
-    Residue 0 mod (q-1) stands for the exponent q-1 itself.  x^d and x^(pd)
-    have the same c-differential spectrum at every c.
-    """
-    order = q - 1
-    members = set()
-    cur = d % order
-    while (cur or order) not in members:
-        members.add(cur or order)
-        cur = (cur * p) % order
-    return sorted(members)
 
 
 def cyclotomic_classes(p: int, q: int) -> Iterator[list[int]]:
@@ -89,7 +74,8 @@ def cyclotomic_classes(p: int, q: int) -> Iterator[list[int]]:
 @dataclass(frozen=True)
 class PowerMap:
     """x^d over a fixed field and its tables, each built on first read and
-    read-only; threads may share it, as two first reads build equal tables."""
+    read-only; threads may share it.  Python 3.10/3.11 run first reads one at
+    a time (one cached_property lock per name); from 3.12 two may each build it."""
 
     ctx: FieldContext
     d: int
@@ -119,8 +105,9 @@ class PowerMap:
 
     @functools.cached_property
     def members(self) -> frozenset[int]:
-        """The cyclotomic class of d."""
-        return frozenset(cyclotomic_class(self.ctx.p, self.ctx.q, self.d))
+        """The cyclotomic class {d * p^i mod (q-1) : i < n}, 0 read as q-1."""
+        p, order = self.ctx.p, self.ctx.q - 1
+        return frozenset(self.d * p ** i % order or order for i in range(self.ctx.n))
 
     @functools.cached_property
     def n4_pairs(self) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
@@ -385,44 +372,22 @@ def n4_bruteforce(case: PowerMapCase, budget: int = DEFAULT_N4_BUDGET) -> int:
 # below sqrt(2^63 / p) instead; a sum of q residues is below 2^50, since
 # contexts stop at q = 2^22.
 _ELL_MAX = 1 << 28
-# Miller-Rabin with these bases is exact below 3,215,031,751 > _ELL_MAX.
-_MR_BASES = (2, 3, 5, 7)
-
-
-def _is_prime_mr(m: int) -> bool:
-    """Deterministic Miller-Rabin primality, exact for m < 3,215,031,751."""
-    if m < 2:
-        return False
-    for b in _MR_BASES:
-        if m % b == 0:
-            return m == b
-    s, t = 0, m - 1
-    while t % 2 == 0:
-        s, t = s + 1, t // 2
-    for b in _MR_BASES:
-        x = pow(b, t, m)
-        if x in (1, m - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % m
-            if x == m - 1:
-                break
-        else:
-            return False
-    return True
 
 
 @functools.lru_cache(maxsize=64)
 def _fourier_modulus(p: int, i: int) -> tuple[int, int]:
     """(l, zeta) for the i-th largest prime l = 1 (mod p) under the int64
     limit; zeta has order p in GF(l).  Cached per (p, i), not per bound, so
-    every field of one characteristic shares the search."""
+    every field of one characteristic shares the search.  A large p leaves
+    few such l: the search raises BudgetExceeded once only l = 1 is left."""
     if i == 0:
         top = min(_ELL_MAX, math.isqrt((2 ** 63 - 1) // p))  # p * l^2 < 2^63
         ell = top - (top - 1) % p  # the largest l <= top with l = 1 (mod p)
     else:
         ell = _fourier_modulus(p, i - 1)[0] - p
-    while not _is_prime_mr(ell):
+    while not is_prime(ell):
+        if ell <= p:
+            raise BudgetExceeded(f"N4 needs more primes l = 1 (mod {p}) under the int64 limit")
         ell -= p
     return ell, next(z for z in (pow(a, (ell - 1) // p, ell) for a in range(2, ell)) if z != 1)
 
@@ -436,10 +401,6 @@ def _fourier_moduli(p: int, bound: int) -> tuple[tuple[int, int], ...]:
         prod *= out[-1][0]
     return tuple(out)
 
-
-# The digit map of L(w) depends on the field's (p, n) alone, and its lookup
-# tables are small, so the last few are kept.
-_mapper = functools.lru_cache(maxsize=64)(_linear_mapper)
 
 # Entries of the p x p transform matrix built at a time: p <= 256 takes one
 # block, and a large prime field stays within a few MB.
@@ -500,7 +461,7 @@ class _N4Field:
             x_pows.append(ctx.mul(x_pows[-1], p))
         traces = np.array([ctx.trace(v) for v in x_pows], dtype=np.int64)
         hankel = traces[np.add.outer(np.arange(n), np.arange(n))]  # Tr(X^(i+j))
-        self.lw = _frozen(_mapper(p, n)(hankel, w))  # encoding of L(w)
+        self.lw = _frozen(_linear_mapper(p, n)(hankel, w))  # encoding of L(w)
         self.neg = _frozen(ctx.vec_scale(w, ctx.neg_one))
         trace = self.lw % p  # digit 0 of L(w) is Tr(w)
         moduli = []

@@ -258,6 +258,14 @@ def test_verify_eq2_on_large_fields(capsys, argv):
     assert payload["eq2"] is True and payload["n4"] > 0
 
 
+def test_verify_n4_on_a_prime_field_past_the_moduli_exits_65(capsys):
+    """At p = 262139 too few primes l = 1 (mod p) lie under the int64
+    limit for N4's CRT, so a raised --budget-n4 exits 65 and does not hang."""
+    code, out, err = run_cli(capsys, "verify", "--field", "262139", "--d", "3", "--c", "2",
+                             "--budget-n4", "262139")
+    assert code == EXIT_BUDGET and out == "" and err.startswith("error:")
+
+
 def test_parser_is_shared_but_namespaces_are_not(capsys, tmp_path):
     """main builds its parser once; an option of one call does not carry
     into the next."""

@@ -76,8 +76,10 @@ def test_not_prime_rejected():
 
 
 def test_is_prime_matches_trial_division():
-    # build_context asks only for p <= 2^22, the field-size cap
-    for lo, hi in ((0, 100_000), (DEFAULT_ENUM_CAP - 5000, DEFAULT_ENUM_CAP + 1)):
+    # build_context asks only for p <= 2^22, the field-size cap, and N4's
+    # moduli search asks for l < 2^28
+    for lo, hi in ((0, 100_000), (DEFAULT_ENUM_CAP - 5000, DEFAULT_ENUM_CAP + 1),
+                   ((1 << 28) - 5000, (1 << 28) + 1)):
         assert [m for m in range(lo, hi) if is_prime(m)] == \
             [m for m in range(lo, hi) if is_prime_trial(m)]
     assert not is_prime(3215031751)  # a strong pseudoprime to 2, 3, 5, 7

@@ -3,6 +3,7 @@ import gc
 import math
 import sys
 import threading
+import time
 import weakref
 from collections import Counter
 
@@ -25,6 +26,7 @@ from cdspec import (
     normalize_exponent,
 )
 from cdspec import spectrum
+from cdspec.field import _linear_mapper, is_prime
 from cdspec.spectrum import CDiffSpectrum, DeltaSample, cyclotomic_classes, uniformity_label
 from cdspec.verifier import SplitMix64, _scan_sample
 
@@ -535,9 +537,9 @@ def test_dft_index_is_exact_up_to_the_context_cap():
 
 
 def test_fourier_moduli_are_primes_with_a_root_of_order_p():
-    assert [m for m in range(20000) if spectrum._is_prime_mr(m)] == \
+    assert [m for m in range(20000) if is_prime(m)] == \
         [m for m in range(20000) if is_prime_trial(m)]
-    assert not spectrum._is_prime_mr(25326001)  # strong pseudoprime to 2, 3, 5
+    assert not is_prime(25326001)  # strong pseudoprime to 2, 3, 5
     for p, q in [(2, 2 ** 22), (3, 3 ** 13), (13, 13 ** 2), (131, 131), (617, 617), (2039, 2039 ** 2)]:
         moduli = spectrum._fourier_moduli(p, q ** 3)
         assert math.prod(ell for ell, _ in moduli) > q ** 3
@@ -545,6 +547,21 @@ def test_fourier_moduli_are_primes_with_a_root_of_order_p():
             assert is_prime_trial(ell) and ell % p == 1, (p, ell)
             assert p * (ell - 1) ** 2 < 2 ** 63 and ell < spectrum._ELL_MAX, (p, ell)
             assert zeta != 1 and pow(zeta, p, ell) == 1, (p, ell)
+
+
+def test_fourier_moduli_run_out_on_large_prime_fields():
+    """A large prime p leaves too few primes l = 1 (mod p) under the int64
+    limit for a product past p^3 (for some p from 72973 on, for every p past
+    524171); the search raises once only l = 1 is left, where it used to
+    step below it for ever.  4194301 is the largest prime under the context
+    cap, and its search starts at l = 1."""
+    for p in (262139, 1000003, 4194301):
+        started = time.perf_counter()
+        with pytest.raises(BudgetExceeded):
+            spectrum._fourier_moduli(p, p ** 3)
+        assert time.perf_counter() - started < 2.0, p
+    assert [ell for ell, _ in spectrum._fourier_moduli(131071, 131071 ** 3)] == \
+        [6815693, 4718557, 2883563]
 
 
 def test_n4_fourier_budget():
@@ -598,6 +615,17 @@ def test_n4_field_is_built_once_per_context_and_read_only(monkeypatch):
     other = build_context(FieldSpec(3, 5))
     PowerMap(other, 5).n4_pairs
     assert len(built) == 2 and spectrum._n4_field(other) is built[1]
+
+
+def test_antilog_build_and_n4_share_one_digit_mapper():
+    """_linear_mapper is cached per (p, n): building 3^5 and counting N4 on
+    it builds one mapper, which the map L(w) then reads from the cache."""
+    assert _linear_mapper(3, 5) is _linear_mapper(3, 5)
+    _linear_mapper.cache_clear()
+    ctx = build_context(FieldSpec(3, 5))
+    assert n4_fourier(PowerMapCase(PowerMap(ctx, 5), 2), budget=ctx.q) > 0
+    info = _linear_mapper.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_n4_field_is_dropped_with_its_context():
@@ -672,7 +700,7 @@ def _n4_pairs_reference(power):
         x_pows.append(ctx.mul(x_pows[-1], p))
     traces = np.array([ctx.trace(v) for v in x_pows], dtype=np.int64)
     hankel = traces[np.add.outer(np.arange(n), np.arange(n))]
-    lw = spectrum._mapper(p, n)(hankel, w)
+    lw = _linear_mapper(p, n)(hankel, w)
     trace = lw % p
     neg = ctx.vec_scale(w, ctx.neg_one)
     eps_w = neg if power.d % 2 == 0 else w

@@ -25,7 +25,6 @@ from cdspec.spectrum import (
     PowerMap,
     PowerMapCase,
     c_spectrum,
-    cyclotomic_class,
     cyclotomic_classes,
     omega_doc,
 )
@@ -151,7 +150,7 @@ def test_dispatch_sees_whole_cyclotomic_classes():
             cs = range(q) if e == q - 2 else [ctx.neg_one]
             for c in (c for c in cs if c != 1):
                 canon = verify_with_context(ctx, e, c, n4_budget=0)
-                for m in cyclotomic_class(p, q, e):
+                for m in sorted(PowerMap(ctx, e).members):
                     r = verify_with_context(ctx, m, c, n4_budget=0)
                     key = (p, n, e, m, c)
                     assert r.computed.omega == canon.computed.omega, key
@@ -484,12 +483,25 @@ def test_cyclotomic_representatives_dedup():
 
 
 def test_cyclotomic_classes_partition_the_exponents():
-    for p, q in ((2, 2), (2, 16), (3, 27), (5, 25), (7, 49)):
+    for p, n in ((2, 1), (2, 4), (3, 3), (5, 2), (7, 2)):
+        q = p ** n
         classes = list(cyclotomic_classes(p, q))
         reps = [m[0] for m in classes]
         assert reps == sorted(reps)
-        assert all(m == cyclotomic_class(p, q, m[0]) for m in classes)
+        assert all(m == sorted(PowerMap(get_ctx(p, n), m[0]).members) for m in classes)
         assert sorted(d for m in classes for d in m) == list(range(1, q))
+
+
+def test_power_map_members_are_the_class_of_cyclotomic_classes():
+    """PowerMap.members, the closed form {d * p^i mod (q-1)}, against the
+    orbit walk of cyclotomic_classes, for every d of every field q <= 729."""
+    fields = [(p, n) for p in range(2, 730) if is_prime_trial(p)
+              for n in range(1, 10) if p ** n <= 729]
+    for p, n in fields:
+        ctx = get_ctx(p, n)
+        class_of = {d: m for m in cyclotomic_classes(p, ctx.q) for d in m}
+        for d in range(1, ctx.q):
+            assert sorted(PowerMap(ctx, d).members) == class_of[d], (p, n, d)
 
 
 def test_scan_gf25_includes_table_rows():
