@@ -2,8 +2,8 @@
 
 Each predictor is a pure integer function of pre-evaluated conditions
 (traces, character values, parities); dispatch() returns every prediction
-whose hypotheses hold, and reads c only through dispatch_key() (only its
-constant unless d matches q - 2), so every c with one key has one dispatch.
+whose hypotheses hold, and reads c only through dispatch_key(), so every c
+with one key has one dispatch.
 All arithmetic is exact: a non-exact division or a negative entry marks the
 prediction inconsistent instead of rounding.
 """
@@ -268,19 +268,11 @@ def predict_5n_minus3_half(n: int) -> SpectrumPrediction:
 # Dispatcher
 # ---------------------------------------------------------------------------
 
-def _constant(ctx: FieldContext, c: int) -> int | None:
-    """c when it is one of the prime-field constants 0, 1, 4, 1/4, -1 that
-    dispatch tests, else None."""
-    p = ctx.p
-    if p == 2:
-        return c if c < 2 else None
-    return c if c in (0, 1, 4 % p, pow(4, -1, p), p - 1) else None
-
-
 def dispatch_key(ctx: FieldContext, c: int) -> tuple:
-    """The values of c that dispatch reads: _constant(ctx, c); then
-    (Tr c, Tr 1/c) when p = 2, or chi(c^2 - 4c), chi(1 - 4c), chi(c) when p
-    is odd; (c,) alone for c in {0, 1} when p = 2.
+    """The values of c that dispatch reads: c when it is one of the
+    prime-field constants 0, 1, 4, 1/4, -1 that dispatch tests, else None;
+    then (Tr c, Tr 1/c) when p = 2, or chi(c^2 - 4c), chi(1 - 4c), chi(c)
+    when p is odd; (c,) alone for c in {0, 1} when p = 2.
 
     In odd characteristic c^2 - 4c = c*(c - 4) and 1 - 4c = -4*(c - 1/4),
     and 4 is a square, so each character is a product of chi at c, c - 4,
@@ -292,7 +284,7 @@ def dispatch_key(ctx: FieldContext, c: int) -> tuple:
         return (c,) if c < 2 else (None, ctx.trace(c), ctx.trace(ctx.inv(c)))
     four, quarter = 4 % p, pow(4, -1, p)
     base, chi_c = c - c % p, chi(c)
-    return (_constant(ctx, c),
+    return (c if c in (0, 1, four, quarter, p - 1) else None,
             chi_c * chi(base + (c - four) % p), chi(p - 1) * chi(base + (c - quarter) % p), chi_c)
 
 
@@ -302,11 +294,11 @@ def dispatch(power: PowerMap, c: int) -> list[SpectrumPrediction]:
     d matches a family exponent in its cyclotomic class, since x^d and
     x^(pd) have the same spectrum at every c.  An empty list means the case
     is brute-force only.  c is read through dispatch_key(power.ctx, c)
-    alone, and only through its constant unless d matches q - 2.
+    alone, once per call.
     """
     ctx, dn = power.ctx, power.d
     p, n, q = ctx.p, ctx.n, ctx.q
-    const = _constant(ctx, c)
+    const, *values = dispatch_key(ctx, c)
 
     def matches(e: int) -> bool:
         return normalize_exponent(e, q) in power.members
@@ -315,7 +307,6 @@ def dispatch(power: PowerMap, c: int) -> list[SpectrumPrediction]:
 
     # inverse function rows: d = q - 2 (c outside {0, 1} implies q >= 3)
     if const not in (0, 1) and matches(q - 2):
-        values = dispatch_key(ctx, c)[1:]
         if p == 2:
             preds.append(predict_inverse_char2(n, *values))
         elif const not in (4 % p, pow(4, -1, p)):

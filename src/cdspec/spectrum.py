@@ -455,6 +455,7 @@ class _N4Field:
 
     def __init__(self, ctx: FieldContext):
         p, n, q = ctx.p, ctx.n, ctx.q
+        ells = _fourier_moduli(p, q ** 3)  # first: too few l raise before any q-sized array
         w = np.arange(q, dtype=np.int64)
         x_pows = [1]  # X^k for k <= 2n - 2; X has encoding p when n > 1
         for _ in range(2 * n - 2):
@@ -465,7 +466,7 @@ class _N4Field:
         self.neg = _frozen(ctx.vec_scale(w, ctx.neg_one))
         trace = self.lw % p  # digit 0 of L(w) is Tr(w)
         moduli = []
-        for ell, zeta in _fourier_moduli(p, q ** 3):
+        for ell, zeta in ells:
             zp = np.array([pow(zeta, k, ell) for k in range(p)], dtype=np.int64)
             moduli.append((ell, _frozen(zp), _frozen(zp.astype(np.float64).take(trace))))
         self.moduli = tuple(moduli)

@@ -94,19 +94,20 @@ def verify_with_context(
 
 
 def _measure(power: PowerMap, c: int, n4_budget: int) -> tuple:
-    """The spectrum of x^d at c, its quadruple count when c != 1 and q fits
-    n4_budget (else None), and the identity check of both."""
+    """The spectrum of x^d at c and its quadruple count when c != 1 and q
+    fits n4_budget (else None)."""
     case = PowerMapCase(power, c)
     spec = c_spectrum(case)
     n4 = n4_fourier(case, budget=n4_budget) if c != 1 and power.ctx.q <= n4_budget else None
-    return spec, n4, check_identities(spec, n4)
+    return spec, n4
 
 
 def _report(power: PowerMap, c: int, measured: tuple) -> VerifyReport:
     """The report at c, from _measure at c or at any c sharing its spectrum
-    and N4, and dispatch at c; it gets its own copy of the spectrum.  It is
-    the report at every c with that spectrum, N4 and dispatch_key, up to c."""
-    spec, n4, idrep = measured
+    and N4, with their identity check, dispatch at c and its own copy of the
+    spectrum: the report at every c with that spectrum, N4 and key, up to c."""
+    spec, n4 = measured
+    idrep = check_identities(spec, n4)
     preds = dispatch(power, c)
     target = spec.positive()
     matched = next(
@@ -167,12 +168,14 @@ class SweepResult:
 
     @property
     def reports(self) -> list[VerifyReport]:
-        """One fresh report per swept c, in ascending c: editing one changes
-        neither the others nor the sweep."""
+        """One fresh report per swept c, in ascending c, copied down to each
+        prediction's omega and conditions: editing one changes nothing else."""
         out = []
         for c, i in self.members():
             r = self.outcomes[i]
-            out.append(replace(r, c=c, predictions=list(r.predictions),
+            preds = [replace(pr, omega=dict(pr.omega), conditions=list(pr.conditions))
+                     for pr in r.predictions]
+            out.append(replace(r, c=c, predictions=preds,
                                computed=replace(r.computed, c=c, omega=dict(r.computed.omega))))
         return out
 
@@ -195,8 +198,8 @@ class SweepResult:
 def sweep_c(ctx: FieldContext, d: int, *, n4_budget: int = DEFAULT_N4_BUDGET) -> SweepResult:
     """Verify every c in GF(q) except c = 1, one report per distinct outcome.
 
-    The spectrum, the quadruple count and the identities are computed once
-    per orbit of c under Frobenius c -> c^p and inversion c -> 1/c, and the
+    The spectrum and the quadruple count are computed once per orbit of c
+    under Frobenius c -> c^p and inversion c -> 1/c, and the identities, the
     predictions and the report once per distinct outcome (omega, N4,
     dispatch_key(ctx, c)): the dispatcher reads c only through its key, so
     orbits with one outcome share one report.  Its reports are the same as
@@ -227,7 +230,7 @@ def sweep_c(ctx: FieldContext, d: int, *, n4_budget: int = DEFAULT_N4_BUDGET) ->
     verdicts: Counter = Counter()
 
     def add(cs: list[int], measured: tuple) -> None:
-        spec, n4, _ = measured
+        spec, n4 = measured
         outcome = (tuple(spec.omega.items()), n4, dispatch_key(ctx, cs[0]))
         if outcome not in index:
             index[outcome] = len(outcomes)

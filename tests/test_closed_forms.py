@@ -19,6 +19,7 @@ from cdspec import (
     predict_inverse_odd,
     predict_pk1_half,
 )
+from cdspec import closed_forms
 from cdspec.closed_forms import TheoremId, dispatch_key
 from cdspec.spectrum import normalize_exponent
 
@@ -324,6 +325,27 @@ def _reference_dispatch(power, c):
         if p == 5 and matches((q - 3) // 2):
             preds.append(predict_5n_minus3_half(n))
     return preds
+
+
+@pytest.mark.parametrize("p,n", [(3, 3), (2, 4)], ids=["3^3", "2^4"])
+def test_dispatch_reads_c_through_one_dispatch_key_call(p, n, monkeypatch):
+    """dispatch reads c through exactly one dispatch_key call, at every d and
+    c, whether or not d matches q - 2."""
+    calls = []
+    real = closed_forms.dispatch_key
+
+    def counted(ctx, c):
+        calls.append(c)
+        return real(ctx, c)
+
+    monkeypatch.setattr(closed_forms, "dispatch_key", counted)
+    ctx = get_ctx(p, n)
+    for d in range(1, ctx.q):
+        power = PowerMap(ctx, d)
+        for c in range(ctx.q):
+            calls.clear()
+            dispatch(power, c)
+            assert calls == [c], (d, c)
 
 
 _DISPATCH_FIELDS = [(2, n) for n in range(1, 8)] + odd_fields(1, 243)

@@ -564,6 +564,19 @@ def test_fourier_moduli_run_out_on_large_prime_fields():
         [6815693, 4718557, 2883563]
 
 
+def test_n4_field_asks_for_its_moduli_before_any_q_sized_array(monkeypatch):
+    """GF(262139) has too few primes l for N4: _N4Field raises BudgetExceeded
+    before it maps L(w) or builds any other q-sized array."""
+    ctx = build_context(FieldSpec(262139, 1))
+
+    def unreachable(*args):
+        raise AssertionError("built a q-sized array before the moduli")
+
+    monkeypatch.setattr(spectrum, "_linear_mapper", unreachable)
+    with pytest.raises(BudgetExceeded):
+        spectrum._N4Field(ctx)
+
+
 def test_n4_fourier_budget():
     with pytest.raises(BudgetExceeded):
         n4_fourier(PowerMapCase(PowerMap(get_ctx(3, 6), 4), 2))

@@ -410,15 +410,15 @@ _WORK_FIELDS = [(2, 5), (2, 6), (3, 1), (3, 4), (5, 3), (7, 2), (13, 2)]
 def test_sweep_computes_once_per_orbit(p, n, monkeypatch):
     """c = 0, then one spectrum per orbit of GF(q)* minus 1 under c -> c^p and
     c -> 1/c, and one dispatch and one stored report per distinct outcome
-    (omega, N4, dispatch key) of verifying each c alone: the bytes do not
-    show whether a sweep shares a spectrum across inversion or a report
-    across orbits, this does."""
+    (omega, N4, dispatch key) of verifying each c alone, and one identity
+    check per outcome too: the bytes do not show whether a sweep shares a
+    spectrum across inversion or a report across orbits, this does."""
     ctx = get_ctx(p, n)
     outcomes = set()
     for c in (0, *range(2, ctx.q)):
         rep = verify_with_context(ctx, ctx.q - 2, c, n4_budget=0)
         outcomes.add((tuple(rep.computed.omega.items()), rep.n4, dispatch_key(ctx, c)))
-    calls = {"c_spectrum": 0, "dispatch": 0, "VerifyReport": 0}
+    calls = {"c_spectrum": 0, "check_identities": 0, "dispatch": 0, "VerifyReport": 0}
     for name in calls:
         def counted(*args, _fn=getattr(verifier, name), _name=name, **kwargs):
             calls[_name] += 1
@@ -429,8 +429,8 @@ def test_sweep_computes_once_per_orbit(p, n, monkeypatch):
     for c in range(2, ctx.q):
         orbit = frozenset(ctx.pow(c, p ** i) for i in range(n))
         both.add(orbit | {ctx.inv(x) for x in orbit})
-    assert calls == {"c_spectrum": 1 + len(both), "dispatch": len(outcomes),
-                     "VerifyReport": len(outcomes)}
+    assert calls == {"c_spectrum": 1 + len(both), "check_identities": len(outcomes),
+                     "dispatch": len(outcomes), "VerifyReport": len(outcomes)}
 
 
 def test_sweep_reports_shared_across_orbits_stay_apart(monkeypatch):
@@ -451,6 +451,11 @@ def test_sweep_reports_shared_across_orbits_stay_apart(monkeypatch):
 
     before = snapshot()
     by_c = {r.c: r for r in result.reports}
+    edited = by_c[cs[0]].predictions[0]
+    edited.omega[0] = -999
+    edited.conditions.append(("edited", True))
+    assert all(by_c[c].predictions[0].omega[0] != -999
+               and ("edited", True) not in by_c[c].predictions[0].conditions for c in cs[1:])
     by_c[cs[0]].predictions.clear()
     by_c[cs[0]].computed.omega.clear()
     assert all(by_c[c].predictions and by_c[c].computed.omega for c in cs[1:])
