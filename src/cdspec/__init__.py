@@ -59,7 +59,6 @@ from .verifier import (
     fuzz_identities,
     scan_exponents,
     sweep_c,
-    verify_case,
     verify_with_context,
 )
 

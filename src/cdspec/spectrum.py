@@ -485,7 +485,7 @@ def _n4_field(ctx: FieldContext) -> _N4Field:
     return fld if fld is not None else _n4_fields.setdefault(ctx, _N4Field(ctx))
 
 
-def n4_fourier(case: PowerMapCase, budget: int = DEFAULT_N4_BUDGET) -> int:
+def n4_fourier(case: PowerMapCase) -> int:
     """The quadruple count of n4_bruteforce, from additive-character sums.
 
     With psi(z) = zeta^Tr(z) and W(u, v) = sum_x psi(u*x + v*x^d),
@@ -504,12 +504,11 @@ def n4_fourier(case: PowerMapCase, budget: int = DEFAULT_N4_BUDGET) -> int:
 
     All of it is computed in GF(l) for primes l = 1 (mod p), where zeta is
     an element of order p, and N4 <= q^3 is recovered by the CRT.  Only the
-    gathers at c*w depend on c; the rest is case.power.n4_pairs.
+    gathers at c*w depend on c; the rest is case.power.n4_pairs.  The caller
+    decides whether to count: the CLI's one gate is --budget-n4, in _measure.
     """
     ctx = case.ctx
     q = ctx.q
-    if q > budget:
-        raise BudgetExceeded(f"N4 over q={q} exceeds budget {budget}")
     cw = ctx.vec_scale(np.arange(q, dtype=np.int64), case.c)
     n4, mod = 0, 1
     for ell, pair1, pair0 in case.power.n4_pairs:

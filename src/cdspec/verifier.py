@@ -98,7 +98,7 @@ def _measure(power: PowerMap, c: int, n4_budget: int) -> tuple:
     fits n4_budget (else None)."""
     case = PowerMapCase(power, c)
     spec = c_spectrum(case)
-    n4 = n4_fourier(case, budget=n4_budget) if c != 1 and power.ctx.q <= n4_budget else None
+    n4 = n4_fourier(case) if c != 1 and power.ctx.q <= n4_budget else None
     return spec, n4
 
 
@@ -128,19 +128,6 @@ def _report(power: PowerMap, c: int, measured: tuple) -> VerifyReport:
         predictions=preds, n4=n4, eq1_ok=idrep.eq1_ok, eq2_ok=idrep.eq2_ok,
         verdict=verdict, matched_theorem=matched.theorem.value if matched else None,
     )
-
-
-def verify_case(
-    p: int,
-    n: int,
-    d: int,
-    c: int,
-    *,
-    modulus: Optional[tuple[int, ...]] = None,
-    n4_budget: int = DEFAULT_N4_BUDGET,
-) -> VerifyReport:
-    ctx = build_context(FieldSpec(p, n, modulus))
-    return verify_with_context(ctx, d, c, n4_budget=n4_budget)
 
 
 @dataclass

@@ -28,7 +28,7 @@ from cdspec import (
     predict_inverse_odd,
     predict_pk1_half,
     quadratic_solution_count,
-    verify_case,
+    verify_with_context,
 )
 from cdspec.verifier import PREDICTOR_INCONSISTENT, SplitMix64
 
@@ -208,7 +208,7 @@ def test_criterion_4_minus3():
     # n = 4: the printed omega_0 is non-integral; the verifier must flag it
     # and the enumerated spectrum resolves omega_0 empirically.
     q = 81
-    report = verify_case(3, 4, q - 3, 2)
+    report = verify_with_context(get_ctx(3, 4), q - 3, 2)
     assert report.verdict == PREDICTOR_INCONSISTENT
     brute = report.computed.positive()
     assert brute[1] == 1

@@ -353,7 +353,7 @@ _DISPATCH_FIELDS = [(2, n) for n in range(1, 8)] + odd_fields(1, 243)
 
 @pytest.mark.parametrize("p,n", _DISPATCH_FIELDS, ids=[f"{p}^{n}" for p, n in _DISPATCH_FIELDS])
 def test_dispatch_equals_the_whole_key_reference_at_every_d_and_c(p, n):
-    """dispatch computes the traces or characters only when d matches q - 2;
+    """dispatch computes the whole key of c on every call, whatever d is;
     it returns what the reference returns, and dispatch_key is unchanged."""
     ctx = get_ctx(p, n)
     for c in range(ctx.q):

@@ -11,12 +11,13 @@ import pytest
 from cdspec import cli, verifier
 from cdspec import (
     BudgetExceeded,
+    FieldSpec,
+    build_context,
     find_irreducible,
     fuzz_identities,
     normalize_exponent,
     scan_exponents,
     sweep_c,
-    verify_case,
     verify_with_context,
 )
 from cdspec.closed_forms import TheoremId, dispatch_key
@@ -60,58 +61,53 @@ def test_splitmix64_determinism():
 
 
 # ---------------------------------------------------------------------------
-# verify_case
+# verify_with_context
 # ---------------------------------------------------------------------------
 
 def test_verify_match_p3_plus3():
-    r = verify_case(3, 2, 6, 2)
+    r = verify_with_context(get_ctx(3, 2), 6, 2)
     assert r.verdict == MATCH
     assert r.matched_theorem in ("P3_PLUS3_HALF", "P3_MINUS3")
     assert r.eq1_ok and r.eq2_ok
 
 
 def test_verify_match_p5():
-    r = verify_case(5, 2, 11, 4)
+    r = verify_with_context(get_ctx(5, 2), 11, 4)
     assert r.verdict == MATCH
     assert r.matched_theorem == "P5_MINUS3_HALF"
     assert r.computed.positive() == {0: 8, 1: 9, 2: 8}
 
 
 def test_verify_no_predictor():
-    r = verify_case(7, 1, 2, 2)
+    r = verify_with_context(get_ctx(7, 1), 2, 2)
     assert r.verdict == NO_PREDICTOR
     assert r.computed.positive() == {0: 3, 1: 1, 2: 3}
 
 
 def test_verify_predictor_inconsistent():
-    r = verify_case(3, 4, 78, 2)
+    r = verify_with_context(get_ctx(3, 4), 78, 2)
     assert r.verdict == PREDICTOR_INCONSISTENT
     assert r.computed.positive() == {0: 50, 1: 1, 2: 21, 4: 8, 6: 1}
     assert not r.predictions[0].consistent
 
 
 def test_verify_eq2_skipped_over_budget():
-    r = verify_case(3, 4, 78, 2, n4_budget=0)
+    r = verify_with_context(get_ctx(3, 4), 78, 2, n4_budget=0)
     assert r.eq2_ok is None and r.n4 is None
 
 
 def test_verify_deterministic():
-    a = verify_case(5, 2, 11, 4)
-    b = verify_case(5, 2, 11, 4)
+    a = verify_with_context(build_context(FieldSpec(5, 2)), 11, 4)
+    b = verify_with_context(build_context(FieldSpec(5, 2)), 11, 4)
     assert a.as_dict() == b.as_dict()
 
 
 def test_verify_match_invariant_under_modulus_change():
     alt = find_irreducible(3, 2, 1)
-    r0 = verify_case(3, 2, 6, 2)
-    r1 = verify_case(3, 2, 6, 2, modulus=alt)
+    r0 = verify_with_context(get_ctx(3, 2), 6, 2)
+    r1 = verify_with_context(get_ctx(3, 2, alt), 6, 2)
     assert r0.verdict == r1.verdict == MATCH
     assert r0.computed.omega == r1.computed.omega
-
-
-def test_verify_budget_error():
-    with pytest.raises(BudgetExceeded):
-        verify_case(2, 23, 5, 0)
 
 
 def _named_exponents(p, n):
@@ -167,11 +163,11 @@ def test_dispatch_sees_whole_cyclotomic_classes():
 def test_dispatch_class_member_pins():
     # 77 = 79 * 3 mod 80: the inverse map's class over GF(81)
     for d in (79, 77, 71, 53):
-        r = verify_case(3, 4, d, 5, n4_budget=0)
+        r = verify_with_context(get_ctx(3, 4), d, 5, n4_budget=0)
         assert (r.verdict, r.matched_theorem) == (MATCH, "INV_ODD"), d
     # {3, 15} over GF(25): 15 = (5^3+1)/2 mod 24 by residue, 3 = (5+1)/2
-    assert _pk1_k(verify_case(5, 2, 15, 4)) == 3
-    assert _pk1_k(verify_case(5, 2, 3, 4)) == 1
+    assert _pk1_k(verify_with_context(get_ctx(5, 2), 15, 4)) == 3
+    assert _pk1_k(verify_with_context(get_ctx(5, 2), 3, 4)) == 1
 
 
 # ---------------------------------------------------------------------------
