@@ -97,8 +97,6 @@ def parse_d(ctx: FieldContext, text: str, k: Optional[int]) -> int:
         "minus3": ctx.q - 3,
         "minus3half": (ctx.q - 3) // 2,
     }
-    if text in named:
-        return named[text]
     if text == "pk1half":
         if k is None:
             raise ParseError("--d pk1half requires --k")
@@ -106,12 +104,16 @@ def parse_d(ctx: FieldContext, text: str, k: Optional[int]) -> int:
             raise ParseError(f"--k must be >= 1, got {k}")
         # p^k mod 2(q-1) keeps p^k's parity, so halving it keeps the residue
         return (pow(ctx.p, k, 2 * (ctx.q - 1)) + 1) // 2 or ctx.q - 1
-    try:
-        d = int(text)
-    except ValueError as exc:
-        raise ParseError(f"bad exponent {text!r}") from exc
-    if d <= 0:
-        raise ParseError(f"exponent must be positive, got {d}")
+    if text in named:
+        d = named[text]
+    else:
+        try:
+            d = int(text)
+        except ValueError as exc:
+            raise ParseError(f"bad exponent {text!r}") from exc
+    if d <= 0:  # a named form is not positive on the smallest fields
+        raise ParseError(f"--d {text} is {d} on GF({ctx.p}^{ctx.n})" if text in named
+                         else f"exponent must be positive, got {d}")
     return d
 
 
@@ -185,7 +187,7 @@ def _verify_csv(ctx: FieldContext, reports, members) -> str:
     return "".join([header, "\n", *(f"{before},{c},{after[i]}\n" for c, i in members)])
 
 
-def _sweep_json(result: verifier.SweepResult, members) -> str:
+def _sweep_json(result: verifier.SweepResult) -> str:
     """to_json(result.as_dict()), each outcome's report formatted once with
     its two c values left open.  With sorted keys "c" comes first in "case" and
     in "computed", and those two come first in a report; the sweep's case
@@ -197,7 +199,8 @@ def _sweep_json(result: verifier.SweepResult, members) -> str:
         del case["c"], computed["c"]
         bodies.append(("," + _canonical(case)[1:] + ',"computed":{"c":',
                        "," + _canonical(computed)[1:] + "," + _canonical(doc)[1:]))
-    rows = ",".join(f'{{"case":{{"c":{c}{bodies[i][0]}{c}{bodies[i][1]}' for c, i in members)
+    rows = ",".join(f'{{"case":{{"c":{c}{bodies[i][0]}{c}{bodies[i][1]}'
+                    for c, i in result.members())
     head, tail = to_json({
         "case": {"p": result.p, "n": result.n, "modulus": list(result.modulus), "d": result.d},
         "reports": [], "tallies": result.tallies,
@@ -272,19 +275,18 @@ def cmd_sweep(args) -> int:
     # every form is written from the outcomes: each report is formatted once
     # with c left open, then once per swept c in ascending c
     reports = result.outcomes
-    members = result.members()
 
     def lines() -> list[str]:
         tails = [f": {r.verdict}, uniformity={r.computed.uniformity}, "
                  f"{_canonical(omega_doc(r.computed.omega))}" for r in reports]
         return [
-            f"GF({result.p}^{result.n}) d = {result.d}: sweep over {len(members)} c values",
+            f"GF({result.p}^{result.n}) d = {result.d}: sweep over {ctx.q - 1} c values",
             "tallies: " + ", ".join(f"{k}={v}" for k, v in result.tallies.items()),
-            *(f"  c={c}{tails[i]}" for c, i in members),
+            *(f"  c={c}{tails[i]}" for c, i in result.members()),
         ]
 
-    _render(args, lambda: _sweep_json(result, members),
-            lambda: _verify_csv(ctx, reports, members), lines)
+    _render(args, lambda: _sweep_json(result),
+            lambda: _verify_csv(ctx, reports, result.members()), lines)
     # a MISMATCH anywhere outranks a PREDICTOR_INCONSISTENT
     return next((_VERDICT_EXIT[v] for v in (verifier.MISMATCH, verifier.PREDICTOR_INCONSISTENT)
                  if result.tallies[v]), EXIT_OK)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
@@ -19,12 +18,12 @@ from .spectrum import (
     DeltaSample,
     PowerMap,
     PowerMapCase,
+    _fourier_moduli,
     c_spectrum,
     check_identities,
     cyclotomic_classes,
     n4_fourier,
     omega_doc,
-    uniformity_label,
 )
 
 MATCH = "MATCH"
@@ -95,11 +94,16 @@ def verify_with_context(
 
 def _measure(power: PowerMap, c: int, n4_budget: int) -> tuple:
     """The spectrum of x^d at c and its quadruple count when c != 1 and q
-    fits n4_budget (else None)."""
+    fits n4_budget (else None).  When N4 will run, its moduli are found
+    first: a prime field with too few primes l raises before any table of
+    x^d is built."""
+    ctx = power.ctx
+    count_n4 = c != 1 and ctx.q <= n4_budget
+    if count_n4:
+        _fourier_moduli(ctx.p, ctx.q ** 3)  # cached per (p, i)
     case = PowerMapCase(power, c)
     spec = c_spectrum(case)
-    n4 = n4_fourier(case) if c != 1 and power.ctx.q <= n4_budget else None
-    return spec, n4
+    return spec, n4_fourier(case) if count_n4 else None
 
 
 def _report(power: PowerMap, c: int, measured: tuple) -> VerifyReport:
@@ -134,24 +138,32 @@ def _report(power: PowerMap, c: int, measured: tuple) -> VerifyReport:
 class SweepResult:
     """A sweep over every c except 1, stored as one report per distinct
     outcome (omega, N4, dispatch key), taken at the first c that has it, and
-    one (members, outcome index) entry per Frobenius orbit of c.  Per-c
-    reports and documents are derived."""
+    a read-only int32 owner, where outcomes[owner[c]] holds c (owner[1] = -1).
+    Per-c reports, documents and tallies are derived."""
 
     p: int
     n: int
     modulus: tuple[int, ...]
     d: int
     outcomes: list[VerifyReport]
-    orbits: list[tuple[list[int], int]]
-    tallies: dict[str, int]
+    owner: np.ndarray
+    _BLOCK = 1 << 16  # owner entries members() turns into Python ints at a time
 
-    def members(self) -> list[tuple[int, int]]:
+    def members(self) -> Iterator[tuple[int, int]]:
         """(c, i) for every swept c in ascending c, where outcomes[i] holds c."""
-        owner = [-1] * self.p ** self.n
-        for cs, i in self.orbits:
-            for c in cs:
-                owner[c] = i
-        return [(c, i) for c, i in enumerate(owner) if i >= 0]
+        for lo in range(0, len(self.owner), self._BLOCK):
+            for c, i in enumerate(self.owner[lo:lo + self._BLOCK].tolist(), lo):
+                if i >= 0:
+                    yield c, i
+
+    @property
+    def tallies(self) -> dict[str, int]:
+        """How many swept c are PcN and APcN, and how many have each verdict."""
+        held = np.bincount(self.owner + 1, minlength=len(self.outcomes) + 1)[1:].tolist()
+        facts = [({1: "pcn", 2: "apcn"}.get(r.computed.uniformity), r.verdict)
+                 for r in self.outcomes]
+        return {key: sum(k for fs, k in zip(facts, held) if key in fs)
+                for key in ("pcn", "apcn", MATCH, MISMATCH, NO_PREDICTOR, PREDICTOR_INCONSISTENT)}
 
     @property
     def reports(self) -> list[VerifyReport]:
@@ -212,36 +224,30 @@ def sweep_c(ctx: FieldContext, d: int, *, n4_budget: int = DEFAULT_N4_BUDGET) ->
     order = ctx.q - 1
     index: dict[tuple, int] = {}
     outcomes: list[VerifyReport] = []
-    orbits: list[tuple[list[int], int]] = []
-    labels: Counter = Counter()
-    verdicts: Counter = Counter()
+    owner = np.full(ctx.q, -1, dtype=np.int32)
 
-    def add(cs: list[int], measured: tuple) -> None:
+    def add(cs: np.ndarray, measured: tuple) -> None:
         spec, n4 = measured
-        outcome = (tuple(spec.omega.items()), n4, dispatch_key(ctx, cs[0]))
+        c = int(cs[0])
+        outcome = (tuple(spec.omega.items()), n4, dispatch_key(ctx, c))
         if outcome not in index:
             index[outcome] = len(outcomes)
-            outcomes.append(_report(power, cs[0], measured))
-        i = index[outcome]
-        orbits.append((cs, i))
-        labels[uniformity_label(outcomes[i].computed.uniformity)] += len(cs)
-        verdicts[outcomes[i].verdict] += len(cs)
+            outcomes.append(_report(power, c, measured))
+        owner[cs] = index[outcome]
 
-    add([0], _measure(power, 0, n4_budget))
+    add(np.array([0]), _measure(power, 0, n4_budget))
     for members in cyclotomic_classes(ctx.p, ctx.q):
         partner = order - members[-1]  # smallest member of (q-1) - M
         if members == [order] or partner < members[0]:
             continue  # c = 1, or a class handled with its partner
-        cs = [int(ctx.exp[m]) for m in members]
-        measured = _measure(power, cs[0], n4_budget)
+        cs = ctx.exp[members]
+        measured = _measure(power, int(cs[0]), n4_budget)
         add(cs, measured)
         if partner > members[0]:
-            add([int(ctx.exp[order - m]) for m in reversed(members)], measured)
-    tallies = {"pcn": labels["PcN"], "apcn": labels["APcN"]}
-    for v in (MATCH, MISMATCH, NO_PREDICTOR, PREDICTOR_INCONSISTENT):
-        tallies[v] = verdicts[v]
+            add(ctx.exp[[order - m for m in reversed(members)]], measured)
+    owner.flags.writeable = False
     return SweepResult(p=ctx.p, n=ctx.n, modulus=ctx.modulus, d=power.d, outcomes=outcomes,
-                       orbits=orbits, tallies=tallies)
+                       owner=owner)
 
 
 @dataclass

@@ -266,6 +266,37 @@ def test_verify_n4_on_a_prime_field_past_the_moduli_exits_65(capsys):
     assert code == EXIT_BUDGET and out == "" and err.startswith("error:")
 
 
+def test_verify_past_the_moduli_builds_no_table_of_d(capsys, monkeypatch):
+    """The N4 moduli are found before the spectrum, so a prime field with
+    too few primes l exits 65 before any table of x^d is built."""
+    def refuse(self):
+        raise AssertionError("a table of x^d was built")
+
+    monkeypatch.setattr(PowerMap, "delta_pair", property(refuse))
+    monkeypatch.setattr(PowerMap, "powd", property(refuse))
+    code, out, err = run_cli(capsys, "verify", "--field", "1500007", "--d", "3", "--c", "2",
+                             "--budget-n4", "4000000")
+    assert code == EXIT_BUDGET and out == ""
+    assert err == "error: N4 needs more primes l = 1 (mod 1500007) under the int64 limit\n"
+
+
+@pytest.mark.parametrize("field,d,value", [
+    ("2", "inv", 0), ("3", "minus3", 0), ("3", "minus3half", 0),
+    ("2", "minus3", -1), ("2", "minus3half", -1), ("2^2", "minus3half", 0),
+])
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_named_d_that_is_not_positive_names_the_form(capsys, command, field, d, value):
+    """A named exponent that is not positive on a tiny field is a usage
+    error that names the form and the field, not an exponent never typed."""
+    c = ["--c", "0"] if command == "verify" else []
+    code, out, err = run_cli(capsys, command, "--field", field, "--d", d, *c)
+    p, _, n = field.partition("^")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: --d {d} is {value} on GF({p}^{n or 1})\n"
+    assert run_cli(capsys, command, "--field", field, "--d", str(value), *c)[2] == \
+        f"error: exponent must be positive, got {value}\n"
+
+
 def test_parser_is_shared_but_namespaces_are_not(capsys, tmp_path):
     """main builds its parser once; an option of one call does not carry
     into the next."""

@@ -1,11 +1,13 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
 from collections import Counter
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from cdspec import cli, verifier
@@ -429,16 +431,42 @@ def test_sweep_computes_once_per_orbit(p, n, monkeypatch):
                      "dispatch": len(outcomes), "VerifyReport": len(outcomes)}
 
 
+@pytest.mark.parametrize("p,n,block", [(2, 1, 1 << 16), (3, 1, 1 << 16), (2, 5, 7),
+                                       (3, 4, 1 << 16), (3, 4, 2), (7, 2, 5)])
+def test_sweep_owner_is_one_read_only_int32_array(p, n, block, monkeypatch):
+    """owner[c] indexes the outcome that holds c and is -1 exactly at c = 1;
+    members() reads it a block at a time, in ascending c, each other c once."""
+    monkeypatch.setattr(verifier.SweepResult, "_BLOCK", block)
+    ctx = get_ctx(p, n)
+    result = sweep_c(ctx, max(ctx.q - 2, 1), n4_budget=0)
+    assert [f.name for f in dataclasses.fields(result)] == \
+        ["p", "n", "modulus", "d", "outcomes", "owner"]
+    owner = result.owner
+    assert owner.dtype == np.int32 and owner.shape == (ctx.q,) and not owner.flags.writeable
+    with pytest.raises(ValueError):
+        owner[0] = 0
+    assert np.flatnonzero(owner == -1).tolist() == [1] and owner.min() == -1
+    members = result.members()
+    assert iter(members) is members  # an iterator, not a list
+    members = list(members)
+    assert [c for c, _ in members] == [c for c in range(ctx.q) if c != 1]
+    assert all(type(c) is int and type(i) is int and i == owner[c] for c, i in members)
+    assert {i for _, i in members} == set(range(len(result.outcomes)))
+    assert [r.c for r in result.reports] == [c for c, _ in members]
+
+
 def test_sweep_reports_shared_across_orbits_stay_apart(monkeypatch):
     """At 3^5 Frobenius orbits of one outcome share one stored report: the
     per-c reports and documents of its c are still apart, and editing them
     changes neither the sweep nor its bytes."""
     ctx = get_ctx(3, 5)
     result = sweep_c(ctx, ctx.q - 2, n4_budget=0)
-    shared = Counter(i for _, i in result.orbits)
+    # each Frobenius orbit of c by its least member, c = 0 its own
+    orbits = {0} | {min(ctx.pow(c, 3 ** k) for k in range(5)) for c in range(2, ctx.q)}
+    shared = Counter(int(result.owner[c]) for c in orbits)
     i, orbit_count = shared.most_common(1)[0]
-    assert orbit_count >= 2 and len(result.outcomes) < len(result.orbits)
-    cs = [members[0] for members, j in result.orbits if j == i]
+    assert orbit_count >= 2 and len(result.outcomes) < len(orbits)
+    cs = sorted(c for c in orbits if result.owner[c] == i)
     monkeypatch.setattr(verifier, "sweep_c", lambda *args, **kwargs: result)
     argv = ["sweep", "--field", "3^5", "--d", "inv", "--budget-n4", "0", "--format"]
 
