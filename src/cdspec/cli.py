@@ -9,12 +9,15 @@ _render, the one place where --format is read and the output is written.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
+import itertools
 import json
+import os
 import sys
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import closed_forms, verifier
 from .errors import BudgetExceeded, Error, FieldTooLarge, ParseError
@@ -26,8 +29,8 @@ from .field import (
     gamma_5n_direct,
     parse_field_spec,
 )
-from .spectrum import (DEFAULT_N4_BUDGET, PowerMap, PowerMapCase, c_spectrum, omega_doc,
-                       uniformity_label)
+from .spectrum import (DEFAULT_N4_BUDGET, PowerMap, PowerMapCase, assert_counting_identity,
+                       c_spectrum, omega_doc, uniformity_label)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 2
@@ -141,27 +144,57 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
-def _emit(args, text: str) -> None:
-    if not args.out:
-        sys.stdout.write(text)
-        return
-    try:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise ParseError(f"cannot write --out {args.out!r}: {exc.strerror or exc}") from exc
+# A sweep's output is made and written this many pieces at a time, a piece
+# being one row (a report of JSON, a line of CSV or text) or a header or
+# footer: 512 rows of JSON are about 220 KB, so no output is held whole.
+_CHUNK_ROWS = 512
+
+
+def _chunks(pieces) -> Iterator[str]:
+    """The pieces in order, joined _CHUNK_ROWS at a time."""
+    pieces = iter(pieces)
+    while block := list(itertools.islice(pieces, _CHUNK_ROWS)):
+        yield "".join(block)
+
+
+def _emit(sink, text: str) -> None:
+    """Write one chunk of output to sink, stdout or the --out file: the one
+    writer of output, which _render calls once per chunk."""
+    sink.write(text)
 
 
 def _render(args, as_json, as_csv, lines) -> None:
     """Write the output form --format names: the text of as_json() or
-    as_csv(), or the lines of lines().  Only the chosen callable runs."""
-    if args.format == "json":
-        text = as_json()
-    elif args.format == "csv":
-        text = as_csv()
+    as_csv(), one string or its pieces in order, or the lines of lines().
+    Only the chosen callable runs; a generator runs a chunk at a time, and
+    each chunk is written (_emit) as it is made.  The sink, stdout or --out,
+    is opened once, after the first chunk is made: an error in making it
+    leaves no --out file, and an unwritable --out is a usage error wherever
+    the write fails."""
+    if args.format == "text":
+        pieces = (line + "\n" for line in lines())
     else:
-        text = "\n".join(lines()) + "\n"
-    _emit(args, text)
+        pieces = as_json() if args.format == "json" else as_csv()
+        if isinstance(pieces, str):
+            pieces = (pieces,)
+    chunks = _chunks(pieces)
+    first = next(chunks, "")
+    try:
+        with (open(args.out, "w", encoding="utf-8", newline="") if args.out
+              else contextlib.nullcontext(sys.stdout)) as sink:
+            for chunk in itertools.chain((first,), chunks):
+                _emit(sink, chunk)
+    except OSError as exc:
+        if args.out:
+            raise ParseError(f"cannot write --out {args.out!r}: {exc.strerror or exc}") from exc
+        if not isinstance(exc, BrokenPipeError):
+            raise
+        # stdout's reader has gone (`cdspec sweep ... | head`): write no more,
+        # and let what stdout still buffers go to /dev/null at exit, so the
+        # command exits with its own code and prints no traceback
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _eq_str(value) -> str:
@@ -174,24 +207,28 @@ def _omega_text(omega: dict[int, int]) -> str:
     return ", ".join(f"{i}:{w}" for i, w in sorted(omega.items()))
 
 
-def _verify_csv(ctx: FieldContext, reports, members) -> str:
-    """The verify/sweep CSV: the header, then for each (c, i) of members the
-    row of reports[i] at c.  The cells after c are formatted once per report;
-    no cell holds a newline, so they are the lines of one _csv_text."""
+def _verify_csv(ctx: FieldContext, reports, members) -> Iterator[str]:
+    """The lines of the verify/sweep CSV: the header, then for each (c, i) of
+    members the row of reports[i] at c, one line at a time.  The cells after
+    c are formatted once per report; no cell holds a newline, so they are
+    the lines of one _csv_text."""
     header, before, *after = _csv_text(
         ["p", "n", "modulus", "d", "c", "verdict", "uniformity", "omega_json", "eq1", "eq2"],
         [[ctx.p, ctx.n, ",".join(map(str, ctx.modulus)), reports[0].d],
          *([r.verdict, r.computed.uniformity, _canonical(omega_doc(r.computed.omega)),
             _eq_str(r.eq1_ok), _eq_str(r.eq2_ok)] for r in reports)],
     ).split("\n")[:-1]
-    return "".join([header, "\n", *(f"{before},{c},{after[i]}\n" for c, i in members)])
+    yield header + "\n"
+    for c, i in members:
+        yield f"{before},{c},{after[i]}\n"
 
 
-def _sweep_json(result: verifier.SweepResult) -> str:
-    """to_json(result.as_dict()), each outcome's report formatted once with
-    its two c values left open.  With sorted keys "c" comes first in "case" and
-    in "computed", and those two come first in a report; the sweep's case
-    and tallies hold only numbers and fixed keys."""
+def _sweep_json(result: verifier.SweepResult) -> Iterator[str]:
+    """The pieces of to_json(result.as_dict()): its head, then one report per
+    swept c in ascending c, then its tail.  Each outcome's report is
+    formatted once with its two c values left open.  With sorted keys "c"
+    comes first in "case" and in "computed", and those two come first in a
+    report; the sweep's case and tallies hold only numbers and fixed keys."""
     bodies = []
     for r in result.outcomes:
         doc = r.as_dict()
@@ -199,13 +236,16 @@ def _sweep_json(result: verifier.SweepResult) -> str:
         del case["c"], computed["c"]
         bodies.append(("," + _canonical(case)[1:] + ',"computed":{"c":',
                        "," + _canonical(computed)[1:] + "," + _canonical(doc)[1:]))
-    rows = ",".join(f'{{"case":{{"c":{c}{bodies[i][0]}{c}{bodies[i][1]}'
-                    for c, i in result.members())
     head, tail = to_json({
         "case": {"p": result.p, "n": result.n, "modulus": list(result.modulus), "d": result.d},
         "reports": [], "tallies": result.tallies,
     }).split('"reports":[]')
-    return f'{head}"reports":[{rows}]{tail}'
+    yield head + '"reports":['
+    sep = ""
+    for c, i in result.members():
+        yield f'{sep}{{"case":{{"c":{c}{bodies[i][0]}{c}{bodies[i][1]}'
+        sep = ","
+    yield "]" + tail
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +258,7 @@ def cmd_spectrum(args) -> int:
     c = parse_c(ctx, args.c)
     case = PowerMapCase(PowerMap(ctx, d), c)
     spec = c_spectrum(case)
+    assert_counting_identity(spec)
     u, label = spec.uniformity, uniformity_label(spec.uniformity)
     modulus = ",".join(map(str, ctx.modulus))
     payload = {
@@ -273,17 +314,17 @@ def cmd_sweep(args) -> int:
     d = parse_d(ctx, args.d, args.k)
     result = verifier.sweep_c(ctx, d, n4_budget=args.budget_n4)
     # every form is written from the outcomes: each report is formatted once
-    # with c left open, then once per swept c in ascending c
+    # with c left open, then once per swept c in ascending c, a chunk of rows
+    # at a time
     reports = result.outcomes
 
-    def lines() -> list[str]:
+    def lines() -> Iterator[str]:
         tails = [f": {r.verdict}, uniformity={r.computed.uniformity}, "
                  f"{_canonical(omega_doc(r.computed.omega))}" for r in reports]
-        return [
-            f"GF({result.p}^{result.n}) d = {result.d}: sweep over {ctx.q - 1} c values",
-            "tallies: " + ", ".join(f"{k}={v}" for k, v in result.tallies.items()),
-            *(f"  c={c}{tails[i]}" for c, i in result.members()),
-        ]
+        yield f"GF({result.p}^{result.n}) d = {result.d}: sweep over {ctx.q - 1} c values"
+        yield "tallies: " + ", ".join(f"{k}={v}" for k, v in result.tallies.items())
+        for c, i in result.members():
+            yield f"  c={c}{tails[i]}"
 
     _render(args, lambda: _sweep_json(result),
             lambda: _verify_csv(ctx, reports, result.members()), lines)

@@ -19,6 +19,7 @@ from .spectrum import (
     PowerMap,
     PowerMapCase,
     _fourier_moduli,
+    assert_counting_identity,
     c_spectrum,
     check_identities,
     cyclotomic_classes,
@@ -341,6 +342,7 @@ def scan_exponents(ctx: FieldContext, c: int, max_uniformity: int) -> ScanResult
         power.delta_pair
         del last
         spec = c_spectrum(PowerMapCase(power, c))
+        assert_counting_identity(spec)
         if spec.uniformity <= max_uniformity:
             rows.append(
                 {

@@ -1,11 +1,17 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
 
+import cdspec
 from cdspec import cli, verifier
 from cdspec import (
     ParseError,
@@ -495,6 +501,100 @@ def test_out_unwritable_is_a_usage_error(tmp_path, capsys):
         assert code == EXIT_USAGE
         assert out == "" and str(target) in err
     assert not (tmp_path / "missing").exists()
+
+
+# A sweep writes _CHUNK_ROWS pieces per _emit call: the head (JSON) or
+# header lines (CSV, text), each row, and JSON's tail.  16 and q - 1 divide
+# the row count of 3^4 and 7^2; q - 1 that of 2^5.
+_CHUNKED_SWEEPS = [("2^5", "inv"), ("3^4", "inv"), ("7^2", "5")]
+
+
+def _recorded_emits(monkeypatch) -> list[str]:
+    real, emits = cli._emit, []
+
+    def recorded(sink, text):
+        emits.append(text)
+        real(sink, text)
+
+    monkeypatch.setattr(cli, "_emit", recorded)
+    return emits
+
+
+@pytest.mark.parametrize("field, d", _CHUNKED_SWEEPS)
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("chunk", [1, 2, 7, 16, "rows"])
+def test_sweep_output_split_over_chunks(tmp_path, monkeypatch, capsys, field, d, fmt, chunk):
+    argv = ("sweep", "--field", field, "--d", d, "--format", fmt)
+    code, whole, _ = run_cli(capsys, *argv)
+    emits = _recorded_emits(monkeypatch)
+    p, n = map(int, field.split("^"))
+    rows = p ** n - 1
+    chunk = rows if chunk == "rows" else chunk
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk)
+    assert run_cli(capsys, *argv) == (code, whole, "")
+    pieces = rows + (1 if fmt == "csv" else 2)
+    assert "".join(emits) == whole and len(emits) == -(-pieces // chunk)
+    if fmt == "json":
+        result = sweep_c(get_ctx(p, n), rows - 1 if d == "inv" else int(d))
+        assert whole == to_json(result.as_dict())
+    per_emit = [t.count('{"case":{"c":') if fmt == "json" else t.count("\n") for t in emits]
+    assert max(per_emit) <= chunk and sum(per_emit) == pieces - (2 if fmt == "json" else 0)
+    target = tmp_path / "sweep.out"
+    assert run_cli(capsys, *argv, "--out", str(target)) == (code, "", "")
+    assert target.read_text(encoding="utf-8") == whole
+
+
+def test_out_write_failing_mid_stream_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    """The --out file is open and its first chunk written when the second
+    write fails: exit 64 with the --out message, as when the file cannot be
+    opened."""
+    real, calls = cli._emit, []
+
+    def failing(sink, text):
+        calls.append(text)
+        if len(calls) == 2:
+            raise OSError(28, "No space left on device")
+        real(sink, text)
+
+    monkeypatch.setattr(cli, "_emit", failing)
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 2)
+    target = tmp_path / "sweep.json"
+    code, out, err = run_cli(capsys, "sweep", "--field", "3^3", "--d", "inv",
+                             "--format", "json", "--out", str(target))
+    assert code == EXIT_USAGE and out == "" and len(calls) == 2
+    assert err == f"error: cannot write --out {str(target)!r}: No space left on device\n"
+    assert "Traceback" not in err
+    assert target.read_text(encoding="utf-8") == calls[0]
+
+
+def test_sweep_to_a_closed_pipe_exits_quietly():
+    """A reader that stops early (`cdspec sweep ... | head`) closes stdout
+    while the sweep is still writing: the sweep exits with its own code and
+    prints no traceback.  The first chunk (512 rows, about 220 KB) is more
+    than a pipe holds, so the reader closes before the last write."""
+    src = pathlib.Path(cdspec.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "import sys; from cdspec.cli import main; sys.exit(main())",
+         "sweep", "--field", "2^14", "--d", "inv", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(10) == b'{"case":{"'
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == EXIT_OK and err == b""
+
+
+def test_spectrum_command_checks_the_counting_identity(monkeypatch, capsys):
+    real = cli.c_spectrum
+
+    def broken(case):
+        spec = real(case)
+        return dataclasses.replace(spec, omega={**spec.omega, 0: spec.omega[0] + 1})
+
+    monkeypatch.setattr(cli, "c_spectrum", broken)
+    with pytest.raises(AssertionError, match="counting identity"):
+        main(["spectrum", "--field", "5^1", "--d", "3", "--c", "-1"])
 
 
 def test_fuzz_rejects_negative_count(capsys):

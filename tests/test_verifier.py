@@ -10,7 +10,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from cdspec import cli, verifier
+from cdspec import cli, spectrum, verifier
 from cdspec import (
     BudgetExceeded,
     FieldSpec,
@@ -739,3 +739,64 @@ def test_fuzz_reports_a_failing_draw(monkeypatch, capsys):
     assert cli.main(argv + ["csv"]) == cli.EXIT_MISMATCH
     rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
     assert [r["eq2"] for r in rows] == ["true", "false", "true"]
+
+
+# ---------------------------------------------------------------------------
+# One counting-identity check per spectrum
+# ---------------------------------------------------------------------------
+
+def _counted_identity_checks(monkeypatch) -> list:
+    """Record each call of spectrum's counting_identity_errors, the check that
+    check_identities and assert_counting_identity both run."""
+    real, calls = spectrum.counting_identity_errors, []
+
+    def counted(omega, q):
+        calls.append(q)
+        return real(omega, q)
+
+    monkeypatch.setattr(spectrum, "counting_identity_errors", counted)
+    return calls
+
+
+def _broken_spectrum(monkeypatch):
+    """c_spectrum as the verifier sees it, with one b moved from omega_0 to
+    omega_1: sum(omega) still equals q, but sum(i*omega) does not."""
+    real = verifier.c_spectrum
+
+    def broken(case):
+        spec = real(case)
+        omega = dict(spec.omega)
+        omega[0] -= 1
+        omega[1] = omega.get(1, 0) + 1
+        return dataclasses.replace(spec, omega=omega)
+
+    monkeypatch.setattr(verifier, "c_spectrum", broken)
+
+
+def test_fuzz_checks_each_spectrum_once(monkeypatch):
+    calls = _counted_identity_checks(monkeypatch)
+    report = fuzz_identities(seed=1, count=20, budget=125)
+    assert report.all_ok and len(calls) == 20
+
+
+def test_scan_checks_each_spectrum_once(monkeypatch):
+    ctx = get_ctx(3, 3)
+    calls = _counted_identity_checks(monkeypatch)
+    built = []
+    real = verifier.c_spectrum
+    monkeypatch.setattr(verifier, "c_spectrum", lambda case: built.append(1) or real(case))
+    scan_exponents(ctx, 2, 2)
+    assert built and len(calls) == len(built)
+
+
+def test_verify_reports_a_failed_counting_identity(monkeypatch):
+    _broken_spectrum(monkeypatch)
+    report = verify_with_context(get_ctx(3, 3), 25, 2)
+    assert report.eq1_ok is False
+    assert report.as_dict()["eq1"] is False
+
+
+def test_scan_raises_on_a_failed_counting_identity(monkeypatch):
+    _broken_spectrum(monkeypatch)
+    with pytest.raises(AssertionError, match="counting identity"):
+        scan_exponents(get_ctx(3, 3), 2, 27)
