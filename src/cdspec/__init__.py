@@ -29,8 +29,6 @@ from .spectrum import (
     IdentityReport,
     PowerMap,
     PowerMapCase,
-    c_ddt_entry,
-    c_delta,
     c_spectrum,
     check_identities,
     n4_bruteforce,

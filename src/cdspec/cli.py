@@ -170,7 +170,9 @@ def _render(args, as_json, as_csv, lines) -> None:
     each chunk is written (_emit) as it is made.  The sink, stdout or --out,
     is opened once, after the first chunk is made: an error in making it
     leaves no --out file, and an unwritable --out is a usage error wherever
-    the write fails."""
+    the write fails.  A failed write removes an --out file that this call
+    created, and leaves alone a path that existed before (a user's file,
+    /dev/full, a FIFO): "created" is decided by opening with O_EXCL first."""
     if args.format == "text":
         pieces = (line + "\n" for line in lines())
     else:
@@ -179,13 +181,24 @@ def _render(args, as_json, as_csv, lines) -> None:
             pieces = (pieces,)
     chunks = _chunks(pieces)
     first = next(chunks, "")
+    created = False
     try:
-        with (open(args.out, "w", encoding="utf-8", newline="") if args.out
-              else contextlib.nullcontext(sys.stdout)) as sink:
+        if not args.out:
+            sink = contextlib.nullcontext(sys.stdout)
+        else:
+            try:
+                sink = open(args.out, "x", encoding="utf-8", newline="")
+                created = True
+            except FileExistsError:
+                sink = open(args.out, "w", encoding="utf-8", newline="")
+        with sink as out:
             for chunk in itertools.chain((first,), chunks):
-                _emit(sink, chunk)
+                _emit(out, chunk)
     except OSError as exc:
         if args.out:
+            if created:
+                with contextlib.suppress(OSError):
+                    os.remove(args.out)
             raise ParseError(f"cannot write --out {args.out!r}: {exc.strerror or exc}") from exc
         if not isinstance(exc, BrokenPipeError):
             raise

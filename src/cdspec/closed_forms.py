@@ -16,7 +16,7 @@ from enum import Enum
 
 from .errors import Inapplicable
 from .field import FieldContext
-from .spectrum import PowerMap, counting_identity_errors, normalize_exponent, omega_doc
+from .spectrum import PowerMap, counting_identity_holds, normalize_exponent, omega_doc
 
 
 class TheoremId(Enum):
@@ -65,7 +65,7 @@ def _assemble(
             omega[i] = num // den
         else:
             bad.append(f"omega_{i} = {num}/{den} is not a nonnegative integer")
-    consistent = not bad and not counting_identity_errors(omega, q)
+    consistent = not bad and counting_identity_holds(omega, q)
     if bad:
         notes = "; ".join(([notes] if notes else []) + bad)
     return SpectrumPrediction(

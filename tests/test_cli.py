@@ -544,10 +544,9 @@ def test_sweep_output_split_over_chunks(tmp_path, monkeypatch, capsys, field, d,
     assert target.read_text(encoding="utf-8") == whole
 
 
-def test_out_write_failing_mid_stream_is_a_usage_error(tmp_path, monkeypatch, capsys):
-    """The --out file is open and its first chunk written when the second
-    write fails: exit 64 with the --out message, as when the file cannot be
-    opened."""
+def _failing_second_emit(monkeypatch) -> list[str]:
+    """Make the second _emit call of a run fail as a full disk does, two
+    sweep rows per chunk; returns the chunks _emit was given."""
     real, calls = cli._emit, []
 
     def failing(sink, text):
@@ -558,13 +557,66 @@ def test_out_write_failing_mid_stream_is_a_usage_error(tmp_path, monkeypatch, ca
 
     monkeypatch.setattr(cli, "_emit", failing)
     monkeypatch.setattr(cli, "_CHUNK_ROWS", 2)
+    return calls
+
+
+def test_out_write_failing_mid_stream_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    """The --out file is open and its first chunk written when the second
+    write fails: exit 64 with the --out message, as when the file cannot be
+    opened, and the file the run created is removed."""
+    calls = _failing_second_emit(monkeypatch)
     target = tmp_path / "sweep.json"
     code, out, err = run_cli(capsys, "sweep", "--field", "3^3", "--d", "inv",
                              "--format", "json", "--out", str(target))
     assert code == EXIT_USAGE and out == "" and len(calls) == 2
     assert err == f"error: cannot write --out {str(target)!r}: No space left on device\n"
     assert "Traceback" not in err
+    assert not target.exists()
+
+
+def test_out_write_failing_keeps_a_path_that_existed(tmp_path, monkeypatch, capsys):
+    """A failed write removes only a file the run created: a target that
+    existed before is truncated and written, as on success, and kept."""
+    calls = _failing_second_emit(monkeypatch)
+    target = tmp_path / "sweep.json"
+    target.write_text("the user's file\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "sweep", "--field", "3^3", "--d", "inv",
+                             "--format", "json", "--out", str(target))
+    assert code == EXIT_USAGE and out == "" and len(calls) == 2
+    assert err == f"error: cannot write --out {str(target)!r}: No space left on device\n"
     assert target.read_text(encoding="utf-8") == calls[0]
+
+
+def _cli_env() -> dict:
+    """The environment of a child that runs this checkout's cdspec."""
+    src = pathlib.Path(cdspec.__file__).resolve().parents[1]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+
+_CLI_CHILD = [sys.executable, "-c", "import sys; from cdspec.cli import main; sys.exit(main())"]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="RLIMIT_FSIZE is set in a forked child")
+def test_out_over_the_file_size_limit_leaves_no_file(tmp_path):
+    """A real write that fails mid-stream: with RLIMIT_FSIZE at 64 KB in the
+    child alone, the 818 KB JSON of a 2^11 sweep fails with EFBIG (CPython
+    ignores SIGXFSZ).  The child exits 64 with the --out message, prints no
+    traceback and leaves no file."""
+    import resource
+
+    def limit_file_size():
+        resource.setrlimit(resource.RLIMIT_FSIZE, (1 << 16, 1 << 16))
+
+    target = tmp_path / "big.json"
+    proc = subprocess.run(
+        [*_CLI_CHILD, "sweep", "--field", "2^11", "--d", "inv", "--format", "json",
+         "--out", str(target)],
+        capture_output=True, text=True, env=dict(_cli_env(), PYTHONDONTWRITEBYTECODE="1"),
+        preexec_fn=limit_file_size, timeout=120)
+    assert proc.returncode == EXIT_USAGE and proc.stdout == ""
+    assert proc.stderr == f"error: cannot write --out {str(target)!r}: File too large\n"
+    assert not target.exists()
 
 
 def test_sweep_to_a_closed_pipe_exits_quietly():
@@ -572,13 +624,9 @@ def test_sweep_to_a_closed_pipe_exits_quietly():
     while the sweep is still writing: the sweep exits with its own code and
     prints no traceback.  The first chunk (512 rows, about 220 KB) is more
     than a pipe holds, so the reader closes before the last write."""
-    src = pathlib.Path(cdspec.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
     proc = subprocess.Popen(
-        [sys.executable, "-c", "import sys; from cdspec.cli import main; sys.exit(main())",
-         "sweep", "--field", "2^14", "--d", "inv", "--format", "json"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        [*_CLI_CHILD, "sweep", "--field", "2^14", "--d", "inv", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env())
     assert proc.stdout.read(10) == b'{"case":{"'
     proc.stdout.close()
     err = proc.stderr.read()

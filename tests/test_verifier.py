@@ -746,15 +746,15 @@ def test_fuzz_reports_a_failing_draw(monkeypatch, capsys):
 # ---------------------------------------------------------------------------
 
 def _counted_identity_checks(monkeypatch) -> list:
-    """Record each call of spectrum's counting_identity_errors, the check that
+    """Record each call of spectrum's counting_identity_holds, the check that
     check_identities and assert_counting_identity both run."""
-    real, calls = spectrum.counting_identity_errors, []
+    real, calls = spectrum.counting_identity_holds, []
 
     def counted(omega, q):
         calls.append(q)
         return real(omega, q)
 
-    monkeypatch.setattr(spectrum, "counting_identity_errors", counted)
+    monkeypatch.setattr(spectrum, "counting_identity_holds", counted)
     return calls
 
 
