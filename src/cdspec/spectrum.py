@@ -51,24 +51,35 @@ def normalize_exponent(d: int, q: int) -> int:
     return q - 1 if r == 0 else r
 
 
-def cyclotomic_classes(p: int, q: int) -> Iterator[list[int]]:
-    """Each orbit {d * p^i mod (q-1)} over d in [1, q-1] once, as its
-    ascending members, in order of the smallest member.
+# Residues per block of class_representatives: its int64 temporaries stay
+# at 64 KB, under glibc's 128 KB mmap threshold, so no block is paged in anew.
+_CLASS_BLOCK = 1 << 13
 
-    Residue 0 mod (q-1) stands for the exponent q-1 itself.
-    """
+
+def class_representatives(p: int, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The least member r of every cyclotomic class {r * p^i mod (q-1)} of
+    q = p^n, 0 read as q-1, in ascending r, with the largest member of its
+    class: one pair of int64 arrays per block of _CLASS_BLOCK residues of
+    [1, q-1].  The class of -r is (q-1) - M, whose least member is q-1
+    minus the largest of M; the class {q-1} comes last.
+
+    A residue is the least of its class when none of its n-1 rotations
+    r*p^i is smaller.  Each rotation is one vector pass, (r*p - 1) mod (q-1)
+    + 1, over the residues of the block not yet ruled out."""
+    q = p ** n
     order = q - 1
-    seen = bytearray(order)
-    for d in range(1, q):
-        cur = d % order
-        if seen[cur]:
-            continue
-        members = []
-        while not seen[cur]:
-            seen[cur] = 1
-            members.append(cur or order)
-            cur = (cur * p) % order
-        yield sorted(members)
+    for lo in range(1, q, _CLASS_BLOCK):
+        reps = np.arange(lo, min(lo + _CLASS_BLOCK, q), dtype=np.int64)
+        cur = top = reps
+        for _ in range(n - 1):
+            cur = cur * p
+            cur -= 1
+            cur %= order
+            cur += 1
+            least = cur >= reps
+            reps, cur, top = reps[least], cur[least], top[least]
+            np.maximum(top, cur, out=top)
+        yield reps, top
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from .spectrum import (
     assert_counting_identity,
     c_spectrum,
     check_identities,
-    cyclotomic_classes,
+    class_representatives,
     n4_fourier,
     omega_doc,
 )
@@ -216,36 +216,46 @@ def sweep_c(ctx: FieldContext, d: int, *, n4_budget: int = DEFAULT_N4_BUDGET) ->
 
     c = 0 is its own orbit.  The Frobenius orbit of c = g^m is the class M
     of m under m -> p*m mod (q-1), and that of 1/c is (q-1) - M: the two are
-    handled in one step, at the one whose smallest member comes first.
+    handled in one step, at the one whose smallest member comes first.  The
+    classes come from class_representatives a block of residues at a time,
+    as their least and largest members, so the Python loop runs over
+    representatives alone; owner is written for a block's classes and their
+    partners in one scatter, each class's members m*p^i from one product.
+    The outcomes come in the order of the steps: c = 0, then the classes in
+    ascending order, each partner right after its class.
 
     The quadruple count runs once per orbit, from transforms of x^d that all
     orbits share, when q fits n4_budget; n4_budget=0 skips it.
     """
     power = PowerMap(ctx, d)
-    order = ctx.q - 1
+    p, n, order = ctx.p, ctx.n, ctx.q - 1
     index: dict[tuple, int] = {}
     outcomes: list[VerifyReport] = []
     owner = np.full(ctx.q, -1, dtype=np.int32)
 
-    def add(cs: np.ndarray, measured: tuple) -> None:
+    def outcome(c: int, measured: tuple) -> int:
         spec, n4 = measured
-        c = int(cs[0])
-        outcome = (tuple(spec.omega.items()), n4, dispatch_key(ctx, c))
-        if outcome not in index:
-            index[outcome] = len(outcomes)
+        key = (tuple(spec.omega.items()), n4, dispatch_key(ctx, c))
+        if key not in index:
+            index[key] = len(outcomes)
             outcomes.append(_report(power, c, measured))
-        owner[cs] = index[outcome]
+        return index[key]
 
-    add(np.array([0]), _measure(power, 0, n4_budget))
-    for members in cyclotomic_classes(ctx.p, ctx.q):
-        partner = order - members[-1]  # smallest member of (q-1) - M
-        if members == [order] or partner < members[0]:
-            continue  # c = 1, or a class handled with its partner
-        cs = ctx.exp[members]
-        measured = _measure(power, int(cs[0]), n4_budget)
-        add(cs, measured)
-        if partner > members[0]:
-            add(ctx.exp[[order - m for m in reversed(members)]], measured)
+    owner[0] = outcome(0, _measure(power, 0, n4_budget))
+    powers = p ** np.arange(n, dtype=np.int64)
+    for reps, tops in class_representatives(p, n):
+        partners = order - tops  # the least member of (q-1) - M
+        first = partners >= reps  # drops c = 1 (partner 0) and classes done with their partner
+        reps, partners = reps[first], partners[first]
+        ids = []  # per class: the outcomes of its c and of its partner's
+        for m, s in zip(reps.tolist(), partners.tolist()):
+            c = ctx.exp.item(m)
+            measured = _measure(power, c, n4_budget)
+            i = outcome(c, measured)
+            ids.append((i, outcome(ctx.exp.item(s), measured) if s > m else i))
+        if ids:
+            members = np.multiply.outer(powers, reps) % order  # (n, k), below 2^44
+            owner[ctx.exp[np.stack([members, order - members], axis=1)]] = np.transpose(ids)
     owner.flags.writeable = False
     return SweepResult(p=ctx.p, n=ctx.n, modulus=ctx.modulus, d=power.d, outcomes=outcomes,
                        owner=owner)
@@ -305,35 +315,38 @@ def _scan_sample(ctx: FieldContext, max_uniformity: int) -> Optional[DeltaSample
     return DeltaSample(ctx, x[x != ctx.neg_one][:m])
 
 
-def _sampled_classes(ctx: FieldContext, c: int, max_uniformity: int) -> Iterator[list[int]]:
-    """The cyclotomic classes whose representative passes the scan sample
-    at c, in the order of cyclotomic_classes, read and tested a block at a
-    time: the classes are never all listed."""
-    classes = cyclotomic_classes(ctx.p, ctx.q)
+def _sampled_classes(ctx: FieldContext, c: int, max_uniformity: int) -> Iterator[int]:
+    """The least member d of each cyclotomic class, in ascending d, whose d
+    passes the scan sample at c.  They are drawn lazily from
+    class_representatives and tested _SAMPLE_BLOCK sample points' worth at
+    a time: the classes are never all listed, and no member list is built."""
+    reps = itertools.chain.from_iterable(
+        block.tolist() for block, _ in class_representatives(ctx.p, ctx.n))
     sample = _scan_sample(ctx, max_uniformity)
     if sample is None:
-        yield from classes
+        yield from reps
         return
     size = max(1, _SAMPLE_BLOCK // len(sample.x))
-    while block := list(itertools.islice(classes, size)):
-        ruled_out = sample.exceeds([members[0] for members in block], c, max_uniformity)
-        yield from itertools.compress(block, ~ruled_out)
+    while block := list(itertools.islice(reps, size)):
+        yield from itertools.compress(block, ~sample.exceeds(block, c, max_uniformity))
 
 
 def scan_exponents(ctx: FieldContext, c: int, max_uniformity: int) -> ScanResult:
     """All cyclotomic-class representatives d whose uniformity stays under
-    the threshold, with their spectra.
+    the threshold, in ascending d, with their spectra and classes.
 
     Each class is first tested on a sample of x (_scan_sample): a count over
     a subset of x never exceeds the count over the field, so a value hit
     more than max_uniformity times there rules the class out exactly, before
     any table of x^d is built.  The sample tests a block of representatives
-    at once (_sampled_classes, DeltaSample.exceeds).  The classes that pass
-    build their PowerMap and full spectrum, so a scan costs about one
-    spectrum per surviving class plus one sample row per class."""
+    at once (_sampled_classes, DeltaSample.exceeds), drawn a block at a time
+    from class_representatives.  The classes that pass build their PowerMap
+    and full spectrum, and a row's class is its closed form, PowerMap.members,
+    so a scan costs about one spectrum per surviving class plus one sample
+    row per class, and builds no member list for a class it rules out."""
     rows, power = [], None
-    for members in _sampled_classes(ctx, c, max_uniformity):
-        last, power = power, PowerMap(ctx, members[0])
+    for d in _sampled_classes(ctx, c, max_uniformity):
+        last, power = power, PowerMap(ctx, d)
         # Build this class's tables before the last class's go: freed with the
         # kernel's temporaries, glibc trims its heap and each class faults its
         # arrays in again.  Where no class is sampled, this order matters:
@@ -346,8 +359,8 @@ def scan_exponents(ctx: FieldContext, c: int, max_uniformity: int) -> ScanResult
         if spec.uniformity <= max_uniformity:
             rows.append(
                 {
-                    "d": members[0],
-                    "class": members,
+                    "d": d,
+                    "class": sorted(power.members),
                     "uniformity": spec.uniformity,
                     "omega": omega_doc(spec.omega),
                 }

@@ -34,3 +34,22 @@ def odd_fields(lo, hi):
     """Every odd-characteristic (p, n) with lo < p^n <= hi."""
     return [(p, n) for p in range(3, hi + 1) if is_prime_trial(p)
             for n in range(1, hi.bit_length()) if lo < p ** n <= hi]
+
+
+def cyclotomic_classes(p, q):
+    """Each orbit {d * p^i mod (q-1)} over d in [1, q-1] once, as its
+    ascending members, in order of the smallest member; residue 0 stands
+    for the exponent q-1.  The reference walk over every residue, which
+    spectrum.class_representatives is checked against."""
+    order = q - 1
+    seen = bytearray(order)
+    for d in range(1, q):
+        cur = d % order
+        if seen[cur]:
+            continue
+        members = []
+        while not seen[cur]:
+            seen[cur] = 1
+            members.append(cur or order)
+            cur = (cur * p) % order
+        yield sorted(members)

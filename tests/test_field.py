@@ -213,6 +213,22 @@ def test_exp_steps_by_the_generator_on_every_small_field():
         assert [poly_mul(ctx, x, g) for x in exp] == exp[1:] + exp[:1], (p, n)
 
 
+_GRID_FIELDS = [(2, 16), (3, 10), (2, 20), (3, 13)]
+
+
+@pytest.mark.parametrize("p, n", _GRID_FIELDS, ids=[f"{p}^{n}" for p, n in _GRID_FIELDS])
+def test_exp_steps_by_the_generator_on_a_sample_of_a_large_field(p, n):
+    """exp[k+1] = exp[k] * g by the table-free vec_mul_poly on a seeded
+    sample of 2^12 indices k, the last index among them, above the fields
+    that the test over every k reaches."""
+    ctx = build_context(FieldSpec(p, n))
+    order = ctx.q - 1
+    rng = SplitMix64(ctx.q)
+    k = np.array([order - 1] + [rng.below(order) for _ in range((1 << 12) - 1)], dtype=np.int64)
+    steps = ctx.vec_mul_poly(ctx.exp[k], np.full(k.shape, ctx.generator, dtype=np.int64))
+    assert np.array_equal(steps, ctx.exp[(k + 1) % order]), (p, n)
+
+
 def test_parse_field_spec():
     assert parse_field_spec("5^4") == FieldSpec(5, 4)
     assert parse_field_spec("2^3/1,1,0,1") == FieldSpec(2, 3, (1, 1, 0, 1))

@@ -25,10 +25,10 @@ from cdspec import (
 )
 from cdspec import spectrum
 from cdspec.field import _linear_mapper, is_prime
-from cdspec.spectrum import CDiffSpectrum, DeltaSample, cyclotomic_classes, uniformity_label
+from cdspec.spectrum import CDiffSpectrum, DeltaSample, uniformity_label
 from cdspec.verifier import SplitMix64, _scan_sample
 
-from conftest import get_ctx, is_prime_trial, odd_fields, poly_mul, poly_pow
+from conftest import cyclotomic_classes, get_ctx, is_prime_trial, odd_fields, poly_mul, poly_pow
 
 
 def _delta_count_scalar(ctx, d, c, b):

@@ -28,7 +28,7 @@ from cdspec.spectrum import (
     PowerMap,
     PowerMapCase,
     c_spectrum,
-    cyclotomic_classes,
+    class_representatives,
     omega_doc,
 )
 from cdspec.verifier import (
@@ -39,7 +39,7 @@ from cdspec.verifier import (
     SplitMix64,
 )
 
-from conftest import get_ctx, is_prime_trial, odd_fields
+from conftest import cyclotomic_classes, get_ctx, is_prime_trial, odd_fields
 
 
 # ---------------------------------------------------------------------------
@@ -521,16 +521,100 @@ def test_cyclotomic_classes_partition_the_exponents():
         assert sorted(d for m in classes for d in m) == list(range(1, q))
 
 
+_FIELDS_TO_729 = [(p, n) for p in range(2, 730) if is_prime_trial(p)
+                  for n in range(1, 10) if p ** n <= 729]
+
+
 def test_power_map_members_are_the_class_of_cyclotomic_classes():
     """PowerMap.members, the closed form {d * p^i mod (q-1)}, against the
     orbit walk of cyclotomic_classes, for every d of every field q <= 729."""
-    fields = [(p, n) for p in range(2, 730) if is_prime_trial(p)
-              for n in range(1, 10) if p ** n <= 729]
-    for p, n in fields:
+    for p, n in _FIELDS_TO_729:
         ctx = get_ctx(p, n)
         class_of = {d: m for m in cyclotomic_classes(p, ctx.q) for d in m}
         for d in range(1, ctx.q):
             assert sorted(PowerMap(ctx, d).members) == class_of[d], (p, n, d)
+
+
+def _representatives(p, n):
+    """class_representatives joined over its blocks: the least and the
+    largest member of each class, as lists, after checking each block."""
+    blocks = list(class_representatives(p, n))
+    assert len(blocks) == -(-(p ** n - 1) // spectrum._CLASS_BLOCK), (p, n)
+    for lo, (reps, tops) in zip(range(1, p ** n, spectrum._CLASS_BLOCK), blocks):
+        assert reps.dtype == tops.dtype == np.int64 and reps.shape == tops.shape
+        assert np.all((lo <= reps) & (reps < lo + spectrum._CLASS_BLOCK)), (p, n, lo)
+    return (np.concatenate([r for r, _ in blocks]).tolist(),
+            np.concatenate([t for _, t in blocks]).tolist())
+
+
+def test_class_representatives_match_the_walk():
+    """The least and largest member of every class, in ascending order of
+    the least, as the walk lists them, on every field q <= 729: GF(2),
+    whose one class is {1} = {q-1}, and the prime fields, where every
+    residue is its own class, included."""
+    assert _representatives(2, 1) == ([1], [1])
+    for p, n in _FIELDS_TO_729:
+        classes = list(cyclotomic_classes(p, p ** n))
+        assert _representatives(p, n) == ([m[0] for m in classes], [m[-1] for m in classes]), \
+            (p, n)
+        if n == 1:
+            assert _representatives(p, n) == (list(range(1, p)), list(range(1, p)))
+
+
+@pytest.mark.parametrize("p,n", [(2, 16), (3, 10)], ids=["2^16", "3^10"])
+def test_class_representatives_match_the_walk_in_any_block(p, n, monkeypatch):
+    """Blocks of 1, 7 and 64 residues, which split classes' least members
+    from their other members, give the same classes as the default block."""
+    classes = list(cyclotomic_classes(p, p ** n))
+    want = ([m[0] for m in classes], [m[-1] for m in classes])
+    assert _representatives(p, n) == want
+    for block in (1, 7, 64):
+        monkeypatch.setattr(spectrum, "_CLASS_BLOCK", block)
+        assert _representatives(p, n) == want, (p, n, block)
+
+
+def _sweep_by_walk(ctx, d):
+    """The owner array and each outcome's first c of a sweep, from the walk:
+    c = 0, then each class of c = g^m in order of its least member, with
+    its partner (q-1) - M right after it."""
+    order = ctx.q - 1
+    index, firsts = {}, []
+    owner = np.full(ctx.q, -1, dtype=np.int32)
+
+    def add(cs):
+        rep = verify_with_context(ctx, d, cs[0], n4_budget=0)
+        key = (tuple(rep.computed.omega.items()), rep.n4, dispatch_key(ctx, cs[0]))
+        if key not in index:
+            index[key] = len(firsts)
+            firsts.append(cs[0])
+        owner[cs] = index[key]
+
+    add([0])
+    for members in cyclotomic_classes(ctx.p, ctx.q):
+        partner = order - members[-1]
+        if members == [order] or partner < members[0]:
+            continue
+        add([int(ctx.exp[m]) for m in members])
+        if partner > members[0]:
+            add([int(ctx.exp[order - m]) for m in reversed(members)])
+    return owner, firsts
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (13, 1), (2, 8), (3, 5), (5, 3)],
+                         ids=["2^1", "3^1", "13^1", "2^8", "3^5", "5^3"])
+def test_sweep_owner_scatter_spans_several_blocks(p, n, monkeypatch):
+    """With blocks of 1, 7 and 64 residues, a class's partner is written
+    from another block than its own, and the owner array and the outcomes,
+    in their order, are those of the walk over every class."""
+    ctx = get_ctx(p, n)
+    d = max(ctx.q - 2, 1)
+    owner, firsts = _sweep_by_walk(ctx, d)
+    want = [verify_with_context(ctx, d, c, n4_budget=0).as_dict() for c in firsts]
+    for block in (1, 7, 64, spectrum._CLASS_BLOCK):
+        monkeypatch.setattr(spectrum, "_CLASS_BLOCK", block)
+        result = sweep_c(ctx, d, n4_budget=0)
+        assert np.array_equal(result.owner, owner), (p, n, block)
+        assert [r.as_dict() for r in result.outcomes] == want, (p, n, block)
 
 
 def test_scan_gf25_includes_table_rows():
@@ -603,30 +687,36 @@ def test_scan_matches_one_spectrum_per_class(p, n):
 
 def test_scan_reads_the_classes_a_block_at_a_time(monkeypatch):
     """The sample tests a block of representatives per call, and a scan
-    draws each block from cyclotomic_classes only when it tests it: it
-    never lists every class, and its rows do not change."""
+    draws each block from class_representatives only when it tests it: it
+    never lists every class, and its rows do not change.  With one residue
+    per block of class_representatives, what is drawn when the sample is
+    called is exactly what it has tested; with 64, at most one block more."""
     ctx = get_ctx(2, 14)
-    drawn, blocks = [0], []
-
-    def counted(p, q):
-        for members in cyclotomic_classes(p, q):
-            drawn[0] += 1
-            yield members
-
-    exceeds = verifier.DeltaSample.exceeds
-
-    def recorded(self, ds, c, bound):
-        blocks.append((drawn[0], len(ds)))
-        return exceeds(self, ds, c, bound)
-
     want = scan_exponents(ctx, 3, 2).rows
-    monkeypatch.setattr(verifier, "cyclotomic_classes", counted)
-    monkeypatch.setattr(verifier.DeltaSample, "exceeds", recorded)
-    assert scan_exponents(ctx, 3, 2).rows == want
     size = verifier._SAMPLE_BLOCK // len(verifier._scan_sample(ctx, 2).x)
-    assert len(blocks) > 1 and drawn[0] == sum(n for _, n in blocks)
-    assert all(n == size for _, n in blocks[:-1]) and 1 <= blocks[-1][1] <= size
-    assert [at for at, _ in blocks] == [min(drawn[0], size * k) for k in range(1, len(blocks) + 1)]
+    representatives, exceeds = verifier.class_representatives, verifier.DeltaSample.exceeds
+    for residues in (1, 64):
+        drawn, blocks = [0], []
+
+        def counted(p, n):
+            for reps, tops in representatives(p, n):
+                drawn[0] += len(reps)
+                yield reps, tops
+
+        def recorded(self, ds, c, bound):
+            blocks.append((drawn[0], len(ds)))
+            return exceeds(self, ds, c, bound)
+
+        monkeypatch.setattr(spectrum, "_CLASS_BLOCK", residues)
+        monkeypatch.setattr(verifier, "class_representatives", counted)
+        monkeypatch.setattr(verifier.DeltaSample, "exceeds", recorded)
+        assert scan_exponents(ctx, 3, 2).rows == want
+        assert len(blocks) > 1 and drawn[0] == sum(n for _, n in blocks)
+        assert all(n == size for _, n in blocks[:-1]) and 1 <= blocks[-1][1] <= size
+        tested = [min(drawn[0], size * k) for k in range(1, len(blocks) + 1)]
+        assert all(t <= at < t + residues for (at, _), t in zip(blocks, tested)), residues
+        if residues == 1:
+            assert [at for at, _ in blocks] == tested
 
 
 def test_scan_sample_size_follows_q_and_the_bound():
